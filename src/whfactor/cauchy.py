@@ -13,6 +13,12 @@ product against tabulated nodes.
 Principal values never appear explicitly: the kernel ``1/((tau-i)(tau-z))`` is
 regularised by subtracting ``f(x0) * (x0+i)/(tau+i)``, whose weighted integral
 is known in closed form for both half-planes and for the on-axis limit.
+
+The Cauchy kernel ``w/((tau-i)(tau-z))`` does not depend on the integrand, so
+it is built once per (node table, targets) and applied with one matrix
+product to every entry on that table plus the subtraction column
+``1/(tau+i)``.  :func:`boundary_values` accepts a whole
+:class:`~whfactor.funcspace.MatrixFunction` and splits all its entries this way.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureNotConverged, TooCloseToAxis
-from .funcspace import BoundaryFunction
-from . import funcspace
+from .funcspace import BoundaryFunction, MatrixFunction
 
 _GAUSS_CACHE: dict = {}
 _TABLE_CACHE: dict = {}
@@ -296,59 +301,101 @@ def _closed_subtraction_term(fx0: np.ndarray, x0: np.ndarray, zeta: np.ndarray,
 
 
 _COINCIDENCE_EPS = 1e-8
+_MEMO_MIN_POINTS = 8  # boundary_values memoises splits on at least this many points
 _CHUNK_ENTRIES = 4_000_000
 
 
-def _kernel_integral(f, zeta: np.ndarray, spec: QuadratureSpec, sgn: int) -> np.ndarray:
-    """integral of f(tau)/((tau-i)(tau-zeta)) dtau for an array of points.
+def _coincident(tau: np.ndarray, x: np.ndarray):
+    """(target, node) index pairs where ``x[row]`` sits on ``tau[col]``.
 
-    ``sgn`` is the sign of Im(zeta) (0 selects the on-axis principal value).
-    The subtraction ``f(x0)(x0+i)/(tau+i)`` removes the on-axis pole; on the
-    oscillation tables the unresolved tail of ``f`` is replaced by its fitted
-    non-oscillatory model on dedicated extension nodes, so the exact kernel is
-    kept for every evaluation point.
+    Table nodes ascend, so only the two neighbours of each target can
+    coincide with it.
     """
-    zeta = np.asarray(zeta, dtype=complex)
-    x0 = np.real(zeta)
-    xmax = float(np.max(np.abs(x0))) if x0.size else 0.0
-    t = _table(spec, osc=_osc_of(f), xmax=xmax)
-    tau, w = t.tau, t.raw_w
-    fv = _memo("val", f, tau, lambda: np.asarray(f(tau), dtype=complex))
-    fx0 = np.asarray(f(x0), dtype=complex)
+    k = np.searchsorted(tau, x)
+    rows, cols = [], []
+    for c, ok in ((k - 1, k > 0), (k, k < tau.size)):
+        c = np.where(ok, c, 0)
+        hit = ok & (np.abs(tau[c] - x) < _COINCIDENCE_EPS * (1.0 + np.abs(x)))
+        rows.append(np.nonzero(hit)[0])
+        cols.append(c[hit])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _table_sums(t: _Table, fs: list, zeta: np.ndarray, fx0: np.ndarray,
+                sgn: int) -> np.ndarray:
+    # kernel sums of the entries ``fs`` that share table ``t``; see
+    # _kernel_integral.  Returns (X, E) without the closed subtraction term.
+    x0 = zeta.real
+    fv = np.stack([_memo("val", f, t.tau, lambda f=f: np.asarray(f(t.tau), dtype=complex))
+                   for f in fs], axis=1)
+    nodes, w = t.tau, t.raw_w
     if t.kind == "osc":
-        coef = t.fit @ fv
-        model_vals = t.ext_basis @ coef
-    out = np.empty(zeta.shape, dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // tau.size)
+        # the unresolved tail is replaced by its fitted model on extension nodes
+        nodes = np.concatenate([nodes, t.ext_tau])
+        w = np.concatenate([w, t.ext_w])
+        fv = np.concatenate([fv, t.ext_basis @ (t.fit @ fv)])
+    wk = w / (nodes - 1j)
+    # one column per entry plus the pole-subtraction column 1/(tau+i)
+    cols = np.concatenate([fv, 1.0 / (nodes + 1j)[:, None]], axis=1) * wk[:, None]
+    ncol = cols.shape[1]
+    on_axis = sgn == 0
+    if on_axis:
+        # real targets give a real kernel 1/(tau-x): apply it to the real
+        # and imaginary parts with one real product
+        cols = np.concatenate([cols.real, cols.imag], axis=1)
+        rows, near = _coincident(t.tau, x0)
+    acc = np.empty((zeta.size, ncol), dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // nodes.size)
     for k0 in range(0, zeta.size, chunk):
         sl = slice(k0, min(k0 + chunk, zeta.size))
-        z = zeta[sl][:, None]
-        xc = x0[sl][:, None]
-        fc = fx0[sl][:, None]
-        num = fv[None, :] - fc * (xc + 1j) / (tau[None, :] + 1j)
-        den = tau[None, :] - z
-        if sgn == 0:
-            near = np.abs(den) < _COINCIDENCE_EPS * (1.0 + np.abs(xc))
-            if np.any(near):
-                den = np.where(near, 1.0, den)
-                rows, cols = np.nonzero(near)
-                h = 1e-5 * (1.0 + np.abs(x0[sl][rows]))
-                xr = x0[sl][rows]
-                hplus = np.asarray(f(xr + h), dtype=complex)
-                hminus = np.asarray(f(xr - h), dtype=complex)
-                sub_p = fx0[sl][rows] * (xr + 1j) / (xr + h + 1j)
-                sub_m = fx0[sl][rows] * (xr + 1j) / (xr - h + 1j)
-                quotient = ((hplus - sub_p) - (hminus - sub_m)) / (2.0 * h)
-                num = num.copy()
-                num[rows, cols] = quotient
-        g = num / ((tau[None, :] - 1j) * den)
-        acc = g @ w
-        if t.kind == "osc":
-            enum = model_vals[None, :] - fc * (xc + 1j) / (t.ext_tau[None, :] + 1j)
-            eker = (t.ext_tau[None, :] - 1j) * (t.ext_tau[None, :] - z)
-            acc = acc + (enum / eker) @ t.ext_w
-        out[sl] = acc
-    return out + _closed_subtraction_term(fx0, x0, zeta, sgn)
+        if not on_axis:
+            acc[sl] = (1.0 / (nodes[None, :] - zeta[sl, None])) @ cols
+            continue
+        den = nodes[None, :] - x0[sl, None]
+        hit = (rows >= sl.start) & (rows < sl.stop)
+        den[rows[hit] - sl.start, near[hit]] = np.inf  # 1/inf drops the term
+        part = np.reciprocal(den, out=den) @ cols
+        acc[sl] = part[:, :ncol] + 1j * part[:, ncol:]
+    out = acc[:, :-1] - fx0 * (x0 + 1j)[:, None] * acc[:, -1:]
+    if on_axis and rows.size:
+        # a target on a node: the kernel term there was dropped above and is
+        # replaced by the centred difference quotient of the subtracted integrand
+        xr = x0[rows]
+        h = 1e-5 * (1.0 + np.abs(xr))
+        sub = fx0[rows] * (xr + 1j)[:, None]
+        for e, f in enumerate(fs):
+            hplus = np.asarray(f(xr + h), dtype=complex) - sub[:, e] / (xr + h + 1j)
+            hminus = np.asarray(f(xr - h), dtype=complex) - sub[:, e] / (xr - h + 1j)
+            np.add.at(out[:, e], rows, (hplus - hminus) / (2.0 * h) * wk[near])
+    return out
+
+
+def _kernel_integral(fs: list, zeta: np.ndarray, fx0: np.ndarray, spec: QuadratureSpec,
+                     sgn: int) -> np.ndarray:
+    """integral of f(tau)/((tau-i)(tau-zeta)) dtau for each entry f of ``fs``
+    and each point zeta; returns an (X, E) array.
+
+    ``fx0`` (X, E) holds the entries at Re(zeta), and ``sgn`` is the sign of
+    Im(zeta) (0 selects the on-axis principal value).  The subtraction
+    ``f(x0)(x0+i)/(tau+i)`` removes the on-axis pole.  The kernel
+    ``w/((tau-i)(tau-zeta))`` does not depend on f, so entries sharing a node
+    table share one kernel, applied to all their tabulated values and the
+    subtraction column in a single matrix product per chunk of points.  On
+    the oscillation tables the unresolved tail of f is replaced by its
+    fitted non-oscillatory model on dedicated extension nodes, so the exact
+    kernel is kept for every evaluation point.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    x0 = zeta.real
+    xmax = float(np.max(np.abs(x0))) if x0.size else 0.0
+    groups: dict = {}
+    for e, f in enumerate(fs):
+        t = _table(spec, osc=_osc_of(f), xmax=xmax)
+        groups.setdefault(id(t), (t, []))[1].append(e)
+    out = np.empty((zeta.size, len(fs)), dtype=complex)
+    for t, idx in groups.values():
+        out[:, idx] = _table_sums(t, [fs[e] for e in idx], zeta, fx0[:, idx], sgn)
+    return out + _closed_subtraction_term(fx0, x0[:, None], zeta[:, None], sgn)
 
 
 def omega(f, side: str, z: complex, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -375,12 +422,14 @@ def omega(f, side: str, z: complex, spec: QuadratureSpec = DEFAULT_QUAD,
         pref = -(z - 1j) / (2j * np.pi)
     else:
         raise ValueError("side must be 'plus' or 'minus'")
-    val = complex(pref * _kernel_integral(f, np.array([z]), spec, sgn)[0])
+    zeta = np.array([z])
+    fx0 = np.array([[f(z.real)]], dtype=complex)
+    val = complex(pref * _kernel_integral([f], zeta, fx0, spec, sgn)[0, 0])
     if verify:
         from dataclasses import replace
         spec2 = replace(spec, num_panels=2 * spec.num_panels,
                         phase_per_panel=spec.phase_per_panel / 2.0)
-        val2 = complex(pref * _kernel_integral(f, np.array([z]), spec2, sgn)[0])
+        val2 = complex(pref * _kernel_integral([f], zeta, fx0, spec2, sgn)[0, 0])
         if abs(val - val2) > 10.0 * spec.abs_tol:
             raise QuadratureNotConverged(
                 f"panel doubling moved omega by {abs(val - val2):.3e}")
@@ -393,24 +442,28 @@ def boundary_values(f, side: str, x, spec: QuadratureSpec = DEFAULT_QUAD):
     Computed as ``(f(x) +- Htilde f(x)) / 2`` with the weighted-kernel Hilbert
     transform evaluated through the pole-removing subtraction; the plus and
     minus values sum to ``f(x)`` by construction.  Accepts scalars or arrays.
+    ``f`` is a :class:`BoundaryFunction`, or a :class:`MatrixFunction` whose
+    entries are split together (one kernel per node table); its values then
+    gain trailing (n, n) axes.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.size >= 8:
-        core = _memo(("ker0", spec), f, xs,
-                     lambda: _kernel_integral(f, xs.astype(complex), spec, 0))
-        fx = _memo("valx", f, xs, lambda: np.asarray(f(xs), dtype=complex))
-    else:
-        core = _kernel_integral(f, xs.astype(complex), spec, 0)
-        fx = np.asarray(f(xs), dtype=complex)
-    plus = 0.5 * fx + (xs - 1j) / (2j * np.pi) * core
-    if side == "plus":
-        res = plus
-    elif side == "minus":
-        res = fx - plus
-    else:
+    if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
+    fs = [g for row in f.entries for g in row] if isinstance(f, MatrixFunction) else [f]
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def split():
+        fx = np.stack([np.asarray(g(xs), dtype=complex) for g in fs], axis=1)
+        core = _kernel_integral(fs, xs.astype(complex), fx, spec, 0)
+        return fx, 0.5 * fx + (xs - 1j)[:, None] / (2j * np.pi) * core
+
+    fx, plus = _memo(("bv", spec), f, xs, split) if xs.size >= _MEMO_MIN_POINTS else split()
+    res = plus if side == "plus" else fx - plus
+    if isinstance(f, MatrixFunction):
+        res = res.reshape(xs.size, f.dim, f.dim)
+    else:
+        res = res[:, 0]
     if np.ndim(x) == 0:
-        return complex(res[0])
+        return complex(res[0]) if res.ndim == 1 else res[0]
     return res
 
 

@@ -47,8 +47,9 @@ def parse_entry_expression(text: str) -> BoundaryFunction:
     """Compile an entry expression into a boundary function.
 
     Grammar: numbers, ``x``, the imaginary unit ``i`` (or ``1j``), the four
-    arithmetic operations, ``**``, parentheses and ``exp(...)``.  Oscillation
-    and decay metadata are estimated from the compiled callable.
+    arithmetic operations, ``**``, parentheses and ``exp(...)``.  The
+    oscillation hint is read from the ``exp(...)`` arguments of the parsed
+    tree, decay and the limit at infinity from the compiled callable.
     """
     tree = ast.parse(text, mode="eval")
     for node in ast.walk(tree):
@@ -60,7 +61,16 @@ def parse_entry_expression(text: str) -> BoundaryFunction:
                 raise ValueError(f"only exp(...) calls are allowed, got {text!r}")
         if isinstance(node, ast.Name) and node.id not in ("x", "i", "exp"):
             raise ValueError(f"unknown name {node.id!r} in entry {text!r}")
-    code = compile(tree, "<entry>", "eval")
+    ev = _compile(tree.body)
+    osc = _estimate_osc(tree.body)
+    decay, limit = _estimate_tail(ev)
+    return BoundaryFunction(ev, decay_order=decay, label=text, osc_scale=osc,
+                            tail_limit=limit)
+
+
+def _compile(node):
+    """Vectorised callable of x for a checked expression (sub)tree."""
+    code = compile(ast.fix_missing_locations(ast.Expression(body=node)), "<entry>", "eval")
     env = {"exp": np.exp, "i": 1j}
 
     def ev(x, code=code, env=env):
@@ -68,22 +78,58 @@ def parse_entry_expression(text: str) -> BoundaryFunction:
         out = eval(code, {"__builtins__": {}}, dict(env, x=xs + 0j))
         return np.broadcast_to(np.asarray(out, dtype=complex), xs.shape)
 
-    osc = _estimate_osc(ev)
-    decay, limit = _estimate_tail(ev)
-    return BoundaryFunction(ev, decay_order=decay, label=text, osc_scale=osc,
-                            tail_limit=limit)
+    return ev
 
 
-def _estimate_osc(ev) -> float:
-    # frequency of the fastest oscillation, from a dense sample of the phase
-    xs = np.linspace(0.0, 200.0, 4001)
-    vals = ev(xs)
-    mags = np.abs(vals)
-    if np.max(mags) < 1e-300:
+_FAR = np.linspace(1e5, 1e5 + 200.0, 4001)
+
+
+def _far_values(node) -> np.ndarray:
+    # a subtree sampled far out on both sides, shape (2, len(_FAR))
+    with np.errstate(all="ignore"):
+        return _compile(node)(np.stack([-_FAR, _FAR]))
+
+
+def _far_slope(v: np.ndarray) -> float:
+    return float(np.max(np.abs(np.diff(v, axis=1)))) / (_FAR[1] - _FAR[0])
+
+
+def _osc_rate(node) -> float:
+    """Far-field oscillation rate of an expression (sub)tree.
+
+    Only ``exp(a)`` oscillates in the grammar: it turns at the slope of
+    ``Im a`` at large |x|, so a rational factor that merely winds its phase
+    near the origin, like (x-i)/(x+i), contributes nothing, and a term that
+    decays faster than the rest of the entry keeps its own rate.  Rates add
+    under products, quotients and constant powers and take the max under
+    sums; an oscillating exponent or argument adds its own rate.
+    """
+    if isinstance(node, ast.Call):
+        arg = node.args[0]
+        return _far_slope(_far_values(arg).imag) + _osc_rate(arg)
+    if isinstance(node, ast.UnaryOp):
+        return _osc_rate(node.operand)
+    if not isinstance(node, ast.BinOp):
         return 0.0
-    ph = np.unwrap(np.angle(vals + 1e-300))
-    freq = np.max(np.abs(np.diff(ph))) / (xs[1] - xs[0])
-    return float(0.0 if freq < 1e-6 else min(freq * 1.5, 64.0))
+    a, b = _osc_rate(node.left), _osc_rate(node.right)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return max(a, b)
+    if isinstance(node.op, ast.Pow):
+        k = _far_values(node.right)
+        if b == 0.0 and np.all(k == k.flat[0]):
+            return abs(k.flat[0]) * a
+        # a varying exponent: exp(b log a) turns with the phase of the power
+        return _far_slope(np.unwrap(np.angle(_far_values(node)), axis=1)) + a + b
+    return a + b
+
+
+def _estimate_osc(node) -> float:
+    # osc_scale hint with a 1.5x margin; NaN from overflowing samples counts
+    # as the fastest rate
+    rate = _osc_rate(node)
+    if not rate < np.inf:
+        rate = np.inf
+    return float(0.0 if rate < 1e-6 else min(rate * 1.5, 64.0))
 
 
 def _estimate_tail(ev):

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import NotSolvable, OrderExceeded, PolicyConflict
 from .funcspace import (BoundaryFunction, GridSpec, MatrixFunction, PROBE_GRID,
                         combine, limit_at_infinity, sup_norm)
-from .cauchy import (DEFAULT_QUAD, QuadratureSpec, _limit_of, boundary_values,
-                     decaying_split_anchors, moment, omega)
+from .cauchy import (_MEMO_MIN_POINTS, DEFAULT_QUAD, QuadratureSpec, _limit_of,
+                     boundary_values, decaying_split_anchors, moment, omega)
 from .indices import PartialIndices, free_entries, lambda_entry_values
 
 SOLVABILITY_TOL_DEFAULT = 1e-6
@@ -233,9 +233,10 @@ class FactorizationStep:
     rhs: MatrixFunction = field(repr=False, default=None)
     n_minus_tilde: MatrixFunction = field(repr=False, default=None)
     n_plus_tilde: MatrixFunction = field(repr=False, default=None)
-    _entry_data: tuple = field(repr=False, default=None)
+    _diff: np.ndarray = field(repr=False, default=None)  # report.gamma - constants
     _quad: QuadratureSpec = field(repr=False, default=DEFAULT_QUAD)
     _indices: PartialIndices = field(repr=False, default=None)
+    _moments: dict = field(repr=False, default_factory=dict)
 
     def boundary_residual(self, xs) -> float:
         """Max residual of the step boundary identity on the given points."""
@@ -252,39 +253,31 @@ class FactorizationStep:
         z = complex(z)
         n = self._indices.n
         kappa = self._indices.kappa
+        sign = 1 if side == "plus" else -1
         out = np.empty((n, n), dtype=complex)
         series_radius = 0.1
+        on_axis = abs(z.imag) < self._quad.min_imag_distance
+        if on_axis:
+            part = boundary_values(self.rhs, side, z.real, self._quad)
         for l in range(n):
             for j in range(n):
-                m_lj, diff, mom_cache = self._entry_data[l][j]
-                if side == "minus":
-                    a = -min(kappa[j], 0)
-                    if a > 0 and abs(z + 1j) < series_radius:
-                        out[l, j] = self._series_value(l, j, z, side, a)
-                        continue
-                    if abs(z.imag) < self._quad.min_imag_distance:
-                        br = (m_lj(z.real)
-                              - boundary_values(m_lj, "plus", z.real, self._quad) - diff)
-                    else:
-                        br = omega(m_lj, "minus", z, self._quad) - diff
-                    out[l, j] = br * ((z - 1j) / (z + 1j)) ** a
+                a = max(kappa[l], 0) if sign > 0 else -min(kappa[j], 0)
+                if a > 0 and abs(z - sign * 1j) < series_radius:
+                    out[l, j] = self._series_value(l, j, z, side, a)
+                    continue
+                if on_axis:
+                    br = part[l, j]
                 else:
-                    a = max(kappa[l], 0)
-                    if a > 0 and abs(z - 1j) < series_radius:
-                        out[l, j] = self._series_value(l, j, z, side, a)
-                        continue
-                    if abs(z.imag) < self._quad.min_imag_distance:
-                        br = boundary_values(m_lj, "plus", z.real, self._quad) + diff
-                    else:
-                        br = omega(m_lj, "plus", z, self._quad) + diff
-                    out[l, j] = br * ((z + 1j) / (z - 1j)) ** a
+                    br = omega(self.rhs.entry(l, j), side, z, self._quad)
+                br = br + sign * self._diff[l, j]
+                out[l, j] = br * ((z + sign * 1j) / (z - sign * 1j)) ** a
         return out
 
     def _series_value(self, l: int, j: int, z: complex, side: str, a: int) -> complex:
-        m_lj, diff, mom_cache = self._entry_data[l][j]
+        m_lj = self.rhs.entry(l, j)
         terms = a + 12
-        key = (side, terms)
-        if key not in mom_cache:
+        key = (l, j, side, terms)
+        if key not in self._moments:
             if side == "minus":
                 # b0 is the lower split part at -i plus the chosen constant
                 b = [complex(self.constants[l, j]
@@ -295,8 +288,8 @@ class FactorizationStep:
                 b = [complex(self.report.gamma[l, j] - self.constants[l, j])]
                 for k in range(1, terms + 1):
                     b.append(moment(m_lj, 1j, k, self._quad) / (2j * np.pi))
-            mom_cache[key] = np.array(b, dtype=complex)
-        b = mom_cache[key]
+            self._moments[key] = np.array(b, dtype=complex)
+        b = self._moments[key]
         if side == "minus":
             u = z + 1j
             pref = (z - 1j) ** a
@@ -338,28 +331,34 @@ def solve_step(M: MatrixFunction, indices: PartialIndices,
     n = indices.n
     kappa = indices.kappa
 
-    entry_data = []
+    diff = report.gamma - C
+
+    def split(side, xs, l, j):
+        # on a grid every entry's brackets index into one memoised split of
+        # M; below the memo threshold nothing is shared between the entries,
+        # so only the requested one is split
+        if xs.size < _MEMO_MIN_POINTS:
+            return boundary_values(M.entry(l, j), side, xs, quad)
+        return boundary_values(M, side, xs, quad)[..., l, j]
+
     minus_rows = []
     plus_rows = []
     for l in range(n):
-        ed_row = []
         mrow = []
         prow = []
         for j in range(n):
             m_lj = M.entry(l, j)
-            diff = complex(report.gamma[l, j] - C[l, j])
-            ed_row.append((m_lj, diff, {}))
 
-            def minus_entry(x, m=m_lj, d=diff, e=-min(kappa[j], 0), q=quad):
+            def minus_entry(x, l=l, j=j, e=-min(kappa[j], 0)):
                 xs = np.asarray(x, dtype=float)
-                br = np.asarray(m(xs), dtype=complex) - boundary_values(m, "plus", xs, q) - d
+                br = split("minus", xs, l, j) - diff[l, j]
                 if e:
                     br = br * ((xs - 1j) / (xs + 1j)) ** e
                 return br
 
-            def plus_entry(x, m=m_lj, d=diff, e=max(kappa[l], 0), q=quad):
+            def plus_entry(x, l=l, j=j, e=max(kappa[l], 0)):
                 xs = np.asarray(x, dtype=float)
-                br = np.asarray(boundary_values(m, "plus", xs, q), dtype=complex) + d
+                br = split("plus", xs, l, j) + diff[l, j]
                 if e:
                     br = br * ((xs + 1j) / (xs - 1j)) ** e
                 return br
@@ -372,7 +371,6 @@ def solve_step(M: MatrixFunction, indices: PartialIndices,
                                          osc_scale=m_lj.osc_scale,
                                          label=f"Ntil+[{l}{j}]",
                                          tail_limit=complex(-C[l, j])))
-        entry_data.append(tuple(ed_row))
         minus_rows.append(mrow)
         plus_rows.append(prow)
 
@@ -386,7 +384,7 @@ def solve_step(M: MatrixFunction, indices: PartialIndices,
     return FactorizationStep(order=order, n_minus=n_minus, n_plus=n_plus,
                              constants=C, report=report, rhs=M,
                              n_minus_tilde=tilde_minus, n_plus_tilde=tilde_plus,
-                             _entry_data=tuple(entry_data), _quad=quad,
+                             _diff=diff, _quad=quad,
                              _indices=indices)
 
 
@@ -517,19 +515,18 @@ def remainder(G_eps: MatrixFunction, fact: AsymptoticFactorization, m: int,
 
 def remainder_at_infinity(fact: AsymptoticFactorization,
                           tail: GridSpec | None = None) -> np.ndarray:
-    """Limit of the first-order remainder at infinity.
+    """Limit of the first-order remainder ``-N1_minus * N1_plus`` at infinity.
 
-    For a 2x2 problem with decaying right-hand side this is the square of the
-    step-1 constant matrix; otherwise the limit of ``-N1_minus * N1_plus`` is
-    extrapolated on a dyadic tail.
+    Read exactly from the limits the step-1 factors carry; the limit is
+    extrapolated on a dyadic tail only where one of them is unknown.
     """
     if fact.achieved_order < 1:
         raise OrderExceeded("no completed steps")
     step = fact.steps[0]
-    if fact.base.dim == 2:
-        C = step.constants
-        return C @ C
     prod = combine(step.n_minus, step.n_plus, "mul")
+    limits = [[f.known_limit() for f in row] for row in prod.entries]
+    if all(v is not None for row in limits for v in row):
+        return -np.array(limits, dtype=complex)
     neg_rows = [[prod.entries[i][j] * (-1.0) for j in range(prod.dim)]
                 for i in range(prod.dim)]
     limit, _err = limit_at_infinity(MatrixFunction.from_rows(neg_rows), tail)

@@ -250,6 +250,7 @@ def combine(F: MatrixFunction, G: MatrixFunction, op: str) -> MatrixFunction:
 
     Decay metadata propagates as the min over entries (add/sub) or the min over
     the product terms of summed decays (mul); oscillation hints as max / sum.
+    Known limits at infinity propagate when every factor's limit is known.
     """
     if F.dim != G.dim:
         raise ValueError(f"dimension mismatch: {F.dim} vs {G.dim}")
@@ -275,9 +276,13 @@ def combine(F: MatrixFunction, G: MatrixFunction, op: str) -> MatrixFunction:
                 osc = max(
                     F.entries[i][k].osc_scale + G.entries[k][j].osc_scale for k in range(n)
                 )
+                lims = [BoundaryFunction._merge_limit(F.entries[i][k], G.entries[k][j], "*")
+                        for k in range(n)]
+                limit = None if None in lims else sum(lims)
                 row.append(
                     BoundaryFunction(prod_ij, decay_order=decay, osc_scale=osc,
-                                     label=f"({F.label}.{G.label})[{i}{j}]")
+                                     label=f"({F.label}.{G.label})[{i}{j}]",
+                                     tail_limit=limit)
                 )
             rows.append(row)
     else:

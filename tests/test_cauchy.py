@@ -8,9 +8,10 @@ never enters those derivations.
 import numpy as np
 import pytest
 
-from whfactor import (BoundaryFunction, DEFAULT_QUAD, QuadratureSpec,
+from whfactor import (BoundaryFunction, DEFAULT_QUAD, MatrixFunction, QuadratureSpec,
                       QuadratureNotConverged, TooCloseToAxis, boundary_values,
                       integral, moment, omega, plemelj_split, weighted_integral)
+from whfactor import cauchy
 
 ABS_TOL = DEFAULT_QUAD.abs_tol
 
@@ -241,3 +242,91 @@ class TestQuadratureSpec:
                                 decay_order=3, osc_scale=0.0, label="liar")
         with pytest.raises(QuadratureNotConverged):
             omega(liar, "plus", 2j, verify=True)
+
+
+def _dense_kernel_sum(f, zeta, spec, sgn):
+    """Per-entry dense sum of f(tau)/((tau-i)(tau-zeta)), one target at a time.
+
+    Subtracts f(x0)(x0+i)/(tau+i) pointwise before dividing, uses the fitted
+    tail model on the extension nodes of an oscillation table, replaces the
+    integrand on a node that coincides with the target by its centred
+    difference quotient, and adds the subtracted part by residues.
+    """
+    x0 = zeta.real
+    t = cauchy._table(spec, osc=f.osc_scale, xmax=float(np.max(np.abs(x0))))
+    fv = f(t.tau)
+    out = np.empty(zeta.size, dtype=complex)
+    for k, (z, x) in enumerate(zip(zeta, x0)):
+        fx = f(x)
+        num = fv - fx * (x + 1j) / (t.tau + 1j)
+        den = t.tau - z
+        if sgn == 0:
+            for c in np.nonzero(np.abs(den) < 1e-8 * (1.0 + abs(x)))[0]:
+                h = 1e-5 * (1.0 + abs(x))
+                num[c] = ((f(x + h) - fx * (x + 1j) / (x + h + 1j))
+                          - (f(x - h) - fx * (x + 1j) / (x - h + 1j))) / (2.0 * h)
+                den[c] = 1.0
+        acc = np.sum(t.raw_w * num / ((t.tau - 1j) * den))
+        if t.kind == "osc":
+            model = t.ext_basis @ (t.fit @ fv)
+            enum = model - fx * (x + 1j) / (t.ext_tau + 1j)
+            acc += np.sum(t.ext_w * enum / ((t.ext_tau - 1j) * (t.ext_tau - z)))
+        # integral of (x0+i)/((tau+i)(tau-i)(tau-zeta)) by residues
+        if sgn > 0:
+            closed = -np.pi * (x + 1j) / (z + 1j)
+        elif sgn < 0:
+            closed = -np.pi * (x + 1j) / (z - 1j)
+        else:
+            closed = -np.pi * x / (x - 1j)
+        out[k] = acc + fx * closed
+    return out
+
+
+class TestBatchedKernel:
+    """The one-kernel-per-table sum against the per-entry dense sum."""
+
+    SPEC = QuadratureSpec(nodes_per_panel=16, num_panels=32, window_min=1e3,
+                          phase_per_panel=24.0)
+    # two tan-table entries and two entries on each of two oscillation tables
+    ENTRIES = [F_RATIONAL, F_SHIFTED, F_OSC,
+               bf(lambda t: np.exp(0.5j * t) / (t + 1j) ** 2, decay=2, osc=0.5),
+               bf(lambda t: np.exp(-0.3j * t) * t / (t * t + 4.0), decay=1, osc=0.3),
+               bf(lambda t: np.exp(0.3j * t) / (t - 2j), decay=1, osc=0.3)]
+
+    def _targets(self, sgn):
+        xs = np.linspace(-40.0, 40.0, 33)
+        if sgn != 0:
+            return xs + sgn * 0.5j
+        # targets on the nodes of every table in use trigger the coincidence patch
+        tables = {id(t): t for t in (cauchy._table(self.SPEC, osc=f.osc_scale, xmax=40.0)
+                                     for f in self.ENTRIES)}
+        on_nodes = [t.tau[np.abs(t.tau) < 40.0][::9] for t in tables.values()]
+        assert len(tables) == 3
+        for t, x in zip(tables.values(), on_nodes):
+            assert cauchy._coincident(t.tau, x)[0].size == x.size
+        return np.concatenate([xs] + on_nodes).astype(complex)
+
+    @pytest.mark.parametrize("sgn", [-1, 0, 1])
+    def test_matches_per_entry_dense_sum(self, sgn):
+        zeta = self._targets(sgn)
+        fx0 = np.stack([f(zeta.real) for f in self.ENTRIES], axis=1)
+        got = cauchy._kernel_integral(self.ENTRIES, zeta, fx0, self.SPEC, sgn)
+        assert got.shape == (zeta.size, len(self.ENTRIES))
+        for e, f in enumerate(self.ENTRIES):
+            want = _dense_kernel_sum(f, zeta, self.SPEC, sgn)
+            assert np.max(np.abs(got[:, e] - want)) <= 1e-12 * np.max(np.abs(want)), e
+
+    def test_matrix_split_matches_entrywise(self):
+        F = MatrixFunction.from_rows([self.ENTRIES[:2], self.ENTRIES[2:4]])
+        xs = np.linspace(-20.0, 20.0, 41)
+        for side in ("plus", "minus"):
+            got = boundary_values(F, side, xs, self.SPEC)
+            assert got.shape == (xs.size, 2, 2)
+            at = boundary_values(F, side, 1.5, self.SPEC)
+            assert at.shape == (2, 2)
+            for i in range(2):
+                for j in range(2):
+                    want = boundary_values(F.entry(i, j), side, xs, self.SPEC)
+                    assert np.max(np.abs(got[:, i, j] - want)) < 1e-13
+                    one = boundary_values(F.entry(i, j), side, 1.5, self.SPEC)
+                    assert abs(at[i, j] - one) < 1e-13

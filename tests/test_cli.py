@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from whfactor.cli import main, parse_entry_expression
+from whfactor import assemble, factorize, remainder_at_infinity
+from whfactor.cli import load_user_spec, main, parse_entry_expression
 
 
 def run(args):
@@ -154,6 +155,22 @@ class TestUserSpec:
         assert g.osc_scale >= 0.5
         assert abs(g(2.0) - np.exp(1j) * 2 / 5) < 1e-12
 
+    def test_oscillation_estimate_ignores_phase_winding(self):
+        # rational entries wind their phase near the origin but do not oscillate
+        for text in ("(x-i)/(x+i) + 1/(x+i)", "(x+i)/(x-i)", "0.25", "1/(x+i)**3",
+                     "(x**3+2*x+i)/((x+2*i)**2*(x-3*i)**2)"):
+            assert parse_entry_expression(text).osc_scale == 0.0, text
+        assert parse_entry_expression("exp(2*i*x)/(x+i)").osc_scale >= 2.0
+        # an oscillating term that decays faster than the rest of the entry
+        perturbed = "(x-i)/(x+i) + 0.1*exp(i*x)/(x**2+1)"
+        assert parse_entry_expression(perturbed).osc_scale >= 1.0
+        # cosine amplitudes have no phase rate and real zeros, yet get their
+        # own rate, not the cap
+        for text, rate in (("x*i*(2-exp(0.1*i*x)-exp(-0.1*i*x))/(x**2+1)", 0.1),
+                           ("(exp(i*x)+exp(-i*x))/(x**2+1)", 1.0)):
+            assert rate <= parse_entry_expression(text).osc_scale <= 2.0 * rate, text
+        assert parse_entry_expression("exp(i*x)**3/(x**2+1)").osc_scale >= 3.0
+
     def test_rejects_unsafe_syntax(self):
         for bad in ("__import__('os')", "x.real", "sin(x)", "lambda y: y"):
             with pytest.raises(Exception):
@@ -172,6 +189,21 @@ class TestUserSpec:
         doc = json.loads(out.read_text())
         assert doc["indices"] == [1, -1]
         assert doc["winding_det"] == 0
+
+    def test_remainder_at_infinity_of_non_decaying_rhs(self, tmp_path):
+        # the (2,1) entry of N = G - Lambda tends to 0.25, so the limit of the
+        # remainder is not the square of the constant matrix
+        spec = {"dim": 2, "indices": [1, -1],
+                "entries": [["(x-i)/(x+i) + 1/(x+i)", "0"], ["0.25", "(x+i)/(x-i)"]]}
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(spec))
+        G, base, N = load_user_spec(str(path))
+        fact = factorize(base, N, 1)
+        dk_inf = remainder_at_infinity(fact)
+        assert abs(dk_inf[1, 0] - (-0.125j)) < 1e-6
+        for x in (1e2, 1e3, 4e3, -4e3):
+            measured = G(x) - assemble(fact, 1, x)[3]
+            assert np.max(np.abs(measured - dk_inf)) < 1e-6
 
     def test_identity_base_is_stable(self, tmp_path):
         spec = {"dim": 2, "indices": [0, 0], "entries": [["1", "0"], ["0", "1"]]}

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from whfactor import (BoundaryFunction, GridSpec, MatrixFunction, NearSingular,
                       NoLimit, PROBE_GRID, combine, constant, eval, eval_matrix,
                       invert_at, limit_at_infinity, sup_norm)
+from whfactor.funcspace import ZERO
 from whfactor.gallery import example_solvable, gk_diagonal, gk_singular
 
 
@@ -107,6 +108,23 @@ def test_limit_at_infinity_constant():
 def test_limit_at_infinity_diagonal_factor():
     lim, err = limit_at_infinity(gk_diagonal().matrix)
     assert np.max(np.abs(lim - np.eye(2))) < 1e-4
+
+
+def test_mul_propagates_known_limits():
+    # the exact limit of a product agrees with the dyadic-tail estimate
+    lam = gk_diagonal().matrix
+    F = MatrixFunction.from_rows(
+        [[lam.entry(0, 0), constant(0.5 - 1j)],
+         [BoundaryFunction(lambda x: 2.0 + 1.0 / (x + 1j), tail_limit=2.0), lam.entry(1, 1)]])
+    P = combine(F, combine(F, lam, "add"), "mul")
+    known = np.array([[P.entry(i, j).known_limit() for j in range(2)] for i in range(2)])
+    est, _err = limit_at_infinity(P)
+    assert np.max(np.abs(known - est)) < 1e-4
+    # an unknown factor limit leaves the product limit unknown
+    G = MatrixFunction.from_rows([[BoundaryFunction(lam.entry(0, 0).evaluator), ZERO],
+                                  [ZERO, ZERO]])
+    assert combine(G, F, "mul").entry(0, 0).known_limit() is None
+    assert combine(G, F, "mul").entry(1, 0).known_limit() == 0.0
 
 
 def test_limit_at_infinity_no_limit():

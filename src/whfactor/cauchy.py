@@ -23,12 +23,12 @@ product to every entry on that table plus the subtraction column
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import QuadratureNotConverged, TooCloseToAxis
-from .funcspace import BoundaryFunction, MatrixFunction
+from .funcspace import BoundaryFunction, MatrixFunction, limit_at_infinity
 
 _GAUSS_CACHE: dict = {}
 _TABLE_CACHE: dict = {}
@@ -96,6 +96,11 @@ class QuadratureSpec:
     def base_node_count(self) -> int:
         return self.nodes_per_panel * self.num_panels
 
+    def refined(self) -> "QuadratureSpec":
+        """The verification spec: twice the panels, half the phase per panel."""
+        return replace(self, num_panels=2 * self.num_panels,
+                       phase_per_panel=self.phase_per_panel / 2.0)
+
 
 DEFAULT_QUAD = QuadratureSpec()
 
@@ -121,9 +126,8 @@ def _panels_to_nodes(edges: np.ndarray, nodes: int):
     return pts, wts
 
 
-def _tan_table(spec: QuadratureSpec, double: bool) -> _Table:
-    panels = spec.num_panels * (2 if double else 1)
-    edges = np.linspace(-np.pi / 2, np.pi / 2, panels + 1)
+def _tan_table(spec: QuadratureSpec) -> _Table:
+    edges = np.linspace(-np.pi / 2, np.pi / 2, spec.num_panels + 1)
     th, wth = _panels_to_nodes(edges, spec.nodes_per_panel)
     tau = np.tan(th)
     w = wth * (1.0 + tau * tau)
@@ -143,12 +147,10 @@ def _osc_window(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> fl
     return min(r1, spec.window_max)
 
 
-def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool,
-               double: bool) -> _Table:
+def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Table:
     r1 = _osc_window(spec, osc, xmax, deep)
     r2 = 2.0 * r1
-    budget = spec.phase_per_panel / (2.0 if double else 1.0)
-    d = budget / osc
+    d = spec.phase_per_panel / osc
     k = max(int(np.ceil(r2 / d)), 4)
     uniform = np.linspace(-r2, r2, 2 * k + 1)
     # geometric edges resolve the rational structure near the origin
@@ -232,15 +234,15 @@ def _bucket_xmax(xmax: float) -> float:
 
 
 def _table(spec: QuadratureSpec, osc: float = 0.0, xmax: float = 0.0,
-           deep: bool = False, double: bool = False) -> _Table:
+           deep: bool = False) -> _Table:
     if osc <= 1e-12:
-        key = (spec, "tan", double)
+        key = (spec, "tan")
         if key not in _TABLE_CACHE:
-            _TABLE_CACHE[key] = _tan_table(spec, double)
+            _TABLE_CACHE[key] = _tan_table(spec)
         return _TABLE_CACHE[key]
-    key = (spec, "osc", _bucket_osc(osc), _bucket_xmax(xmax), deep, double)
+    key = (spec, "osc", _bucket_osc(osc), _bucket_xmax(xmax), deep)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _osc_table(spec, _bucket_osc(osc), _bucket_xmax(xmax), deep, double)
+        _TABLE_CACHE[key] = _osc_table(spec, _bucket_osc(osc), _bucket_xmax(xmax), deep)
     return _TABLE_CACHE[key]
 
 
@@ -253,20 +255,22 @@ def integral(f, spec: QuadratureSpec = DEFAULT_QUAD, deep: bool = False,
     """Integral of ``f`` over the real line.
 
     ``f`` must decay at least like ``1/tau^2`` (with an optional oscillatory
-    component) for the tables to apply.  With ``verify=True`` the panel
-    density is doubled and disagreement beyond ``10 * abs_tol`` raises
-    :class:`QuadratureNotConverged`.
+    component) for the tables to apply.  With ``verify=True`` the integral
+    is repeated on the :meth:`QuadratureSpec.refined` tables and disagreement
+    beyond ``10 * abs_tol`` raises :class:`QuadratureNotConverged`.
     """
     t = _table(spec, osc=_osc_of(f), deep=deep)
     fv = _memo("val", f, t.tau, lambda: np.asarray(f(t.tau), dtype=complex))
     val = complex(fv @ t.w)
     if verify:
-        t2 = _table(spec, osc=_osc_of(f), deep=deep, double=True)
-        val2 = complex(np.asarray(f(t2.tau), dtype=complex) @ t2.w)
-        if abs(val - val2) > 10.0 * spec.abs_tol:
-            raise QuadratureNotConverged(
-                f"panel doubling moved the integral by {abs(val - val2):.3e}")
+        _check_refined(val, integral(f, spec.refined(), deep), spec, "the integral")
     return val
+
+
+def _check_refined(val: complex, val2: complex, spec: QuadratureSpec, what: str) -> None:
+    if abs(val - val2) > 10.0 * spec.abs_tol:
+        raise QuadratureNotConverged(
+            f"panel doubling moved {what} by {abs(val - val2):.3e}")
 
 
 def weighted_integral(f, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -404,7 +408,8 @@ def omega(f, side: str, z: complex, spec: QuadratureSpec = DEFAULT_QUAD,
 
     ``omega(f, "plus", z)`` is analytic for Im z > 0 and vanishes at ``z = i``;
     ``omega(f, "minus", z)`` is analytic for Im z < 0.  Their boundary values
-    (see :func:`boundary_values`) add up to ``f`` on the axis.
+    (see :func:`boundary_values`) add up to ``f`` on the axis.  ``verify``
+    works as in :func:`integral`.
     """
     z = complex(z)
     delta = spec.min_imag_distance
@@ -426,13 +431,7 @@ def omega(f, side: str, z: complex, spec: QuadratureSpec = DEFAULT_QUAD,
     fx0 = np.array([[f(z.real)]], dtype=complex)
     val = complex(pref * _kernel_integral([f], zeta, fx0, spec, sgn)[0, 0])
     if verify:
-        from dataclasses import replace
-        spec2 = replace(spec, num_panels=2 * spec.num_panels,
-                        phase_per_panel=spec.phase_per_panel / 2.0)
-        val2 = complex(pref * _kernel_integral([f], zeta, fx0, spec2, sgn)[0, 0])
-        if abs(val - val2) > 10.0 * spec.abs_tol:
-            raise QuadratureNotConverged(
-                f"panel doubling moved omega by {abs(val - val2):.3e}")
+        _check_refined(val, omega(f, side, z, spec.refined()), spec, "omega")
     return val
 
 
@@ -500,33 +499,20 @@ def plemelj_split(f, spec: QuadratureSpec = DEFAULT_QUAD):
     return (HalfPlaneFunction("minus", f, spec), HalfPlaneFunction("plus", f, spec))
 
 
-def _limit_of(f) -> complex:
-    known = getattr(f, "known_limit", None)
-    if known is not None:
-        v = known()
-        if v is not None:
-            return complex(v)
-    # dyadic fallback estimate; exact metadata is preferred
-    ks = np.arange(13, 19)
-    xs = 2.0 ** ks
-    s = 0.5 * (np.asarray(f(xs), dtype=complex) + np.asarray(f(-xs), dtype=complex))
-    r = 2.0 * s[1:] - s[:-1]
-    return complex(np.mean(r[-3:]))
-
-
 def decaying_split_anchors(f, spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[complex, complex]:
     """Anchor values of the canonical additive split of ``f``.
 
     Returns ``(p, m)`` where ``p`` is the upper part evaluated at ``i`` and
     ``m`` is the lower part evaluated at ``-i``.  For decaying ``f`` the split
-    is the unique one whose parts both vanish at infinity; a nonzero tail
-    limit (taken from metadata when known) is carried by the lower part.
+    is the unique one whose parts both vanish at infinity; a nonzero limit at
+    infinity (see :func:`~whfactor.funcspace.limit_at_infinity`) is carried
+    by the lower part.
     The sum ``p + m`` always equals :func:`weighted_integral` of ``f``; the
     difference requires one slow-tail integral, taken on the deep table.
     """
+    linf = limit_at_infinity(f)
     rho = weighted_integral(f, spec)
     g = BoundaryFunction(lambda t, f=f: _memo_vals(f, t) * t / (t * t + 1.0),
                          osc_scale=_osc_of(f))
     s = integral(g, spec, deep=True) / (2j * np.pi)
-    linf = _limit_of(f)
     return s + 0.5 * (rho - linf), 0.5 * (rho + linf) - s

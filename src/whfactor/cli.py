@@ -49,7 +49,8 @@ def parse_entry_expression(text: str) -> BoundaryFunction:
     Grammar: numbers, ``x``, the imaginary unit ``i`` (or ``1j``), the four
     arithmetic operations, ``**``, parentheses and ``exp(...)``.  The
     oscillation hint is read from the ``exp(...)`` arguments of the parsed
-    tree, decay and the limit at infinity from the compiled callable.
+    tree; the limit at infinity is estimated when it is first needed (see
+    :func:`~whfactor.funcspace.limit_at_infinity`).
     """
     tree = ast.parse(text, mode="eval")
     for node in ast.walk(tree):
@@ -61,11 +62,8 @@ def parse_entry_expression(text: str) -> BoundaryFunction:
                 raise ValueError(f"only exp(...) calls are allowed, got {text!r}")
         if isinstance(node, ast.Name) and node.id not in ("x", "i", "exp"):
             raise ValueError(f"unknown name {node.id!r} in entry {text!r}")
-    ev = _compile(tree.body)
-    osc = _estimate_osc(tree.body)
-    decay, limit = _estimate_tail(ev)
-    return BoundaryFunction(ev, decay_order=decay, label=text, osc_scale=osc,
-                            tail_limit=limit)
+    return BoundaryFunction(_compile(tree.body), label=text,
+                            osc_scale=_estimate_osc(tree.body))
 
 
 def _compile(node):
@@ -130,26 +128,6 @@ def _estimate_osc(node) -> float:
     if not rate < np.inf:
         rate = np.inf
     return float(0.0 if rate < 1e-6 else min(rate * 1.5, 64.0))
-
-
-def _estimate_tail(ev):
-    ks = np.arange(10, 19, dtype=float)
-    xs = 2.0 ** ks
-    vp = np.abs(ev(xs))
-    vm = np.abs(ev(-xs))
-    v = 0.5 * (vp + vm)
-    if np.max(v) < 1e-14:
-        return 1.0, 0.0
-    s = 0.5 * (ev(xs) + ev(-xs))
-    r = 2.0 * s[1:] - s[:-1]
-    limit = complex(np.mean(r[-3:]))
-    resid = v - abs(limit)
-    if np.max(np.abs(resid)) < 1e-12:
-        return 0.0, limit
-    if abs(limit) > 1e-10:
-        return 0.0, limit
-    slope = -np.polyfit(np.log(xs), np.log(np.maximum(v, 1e-300)), 1)[0]
-    return float(max(0.0, min(round(slope * 2) / 2, 4.0))), 0.0 if slope > 0.1 else None
 
 
 def load_user_spec(path: str):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NotSolvable, OrderExceeded, PolicyConflict
 from .funcspace import (BoundaryFunction, GridSpec, MatrixFunction, PROBE_GRID,
                         combine, limit_at_infinity, sup_norm)
-from .cauchy import (_MEMO_MIN_POINTS, DEFAULT_QUAD, QuadratureSpec, _limit_of,
+from .cauchy import (_MEMO_MIN_POINTS, DEFAULT_QUAD, QuadratureSpec,
                      boundary_values, decaying_split_anchors, moment, omega)
 from .indices import PartialIndices, free_entries, lambda_entry_values
 
@@ -149,14 +149,12 @@ def check_solvability(M: MatrixFunction, indices: PartialIndices,
     gamma = np.zeros((n, n), dtype=complex)   # upper part at i
     minus_anchor = np.zeros((n, n), dtype=complex)  # lower part at -i
     rho = np.zeros((n, n), dtype=complex)
-    limits = np.zeros((n, n), dtype=complex)
     for l in range(n):
         for j in range(n):
             gam, man = decaying_split_anchors(M.entry(l, j), quad)
             gamma[l, j] = gam
             minus_anchor[l, j] = man
             rho[l, j] = gam + man
-            limits[l, j] = _limit_of(M.entry(l, j))
 
     pinned: dict = {}
     residuals: list = []
@@ -190,7 +188,7 @@ def check_solvability(M: MatrixFunction, indices: PartialIndices,
     passed = all(abs(r.value) <= tol * scale for r in residuals)
     return SolvabilityReport(residuals=tuple(residuals), pinned_constants=pinned,
                              passed=passed, tolerance=tol, scale=scale,
-                             gamma=gamma, rho=rho, rhs_limits=limits)
+                             gamma=gamma, rho=rho, rhs_limits=limit_at_infinity(M))
 
 
 def _resolve_constants(report: SolvabilityReport, indices: PartialIndices,
@@ -513,21 +511,9 @@ def remainder(G_eps: MatrixFunction, fact: AsymptoticFactorization, m: int,
     return samples, float(np.max(np.abs(samples)))
 
 
-def remainder_at_infinity(fact: AsymptoticFactorization,
-                          tail: GridSpec | None = None) -> np.ndarray:
-    """Limit of the first-order remainder ``-N1_minus * N1_plus`` at infinity.
-
-    Read exactly from the limits the step-1 factors carry; the limit is
-    extrapolated on a dyadic tail only where one of them is unknown.
-    """
+def remainder_at_infinity(fact: AsymptoticFactorization) -> np.ndarray:
+    """Limit of the first-order remainder ``-N1_minus * N1_plus`` at infinity."""
     if fact.achieved_order < 1:
         raise OrderExceeded("no completed steps")
     step = fact.steps[0]
-    prod = combine(step.n_minus, step.n_plus, "mul")
-    limits = [[f.known_limit() for f in row] for row in prod.entries]
-    if all(v is not None for row in limits for v in row):
-        return -np.array(limits, dtype=complex)
-    neg_rows = [[prod.entries[i][j] * (-1.0) for j in range(prod.dim)]
-                for i in range(prod.dim)]
-    limit, _err = limit_at_infinity(MatrixFunction.from_rows(neg_rows), tail)
-    return limit
+    return -limit_at_infinity(combine(step.n_minus, step.n_plus, "mul"))

@@ -3,13 +3,17 @@
 A :class:`BoundaryFunction` is a black-box evaluator ``x -> complex`` (vectorised
 over numpy arrays) carrying decay and oscillation metadata; a
 :class:`MatrixFunction` is a square array of them with pointwise algebra.  All
-objects are immutable and safe to evaluate concurrently.  Norms and limits are
-taken on explicit grids (:class:`GridSpec`), never symbolically.
+objects are immutable and safe to evaluate concurrently.  Norms are taken on
+explicit grids (:class:`GridSpec`), never symbolically; the limit at infinity
+is exact metadata where known and otherwise read off one dyadic tail
+(:func:`limit_at_infinity`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +21,14 @@ import numpy as np
 from .errors import NearSingular, NoLimit
 
 DET_FLOOR_DEFAULT = 1e-10
+
+# the dyadic tail |x| = 2**k, k = 8..18 in steps of 1/4, sampled on both
+# sides: the one place where functions are probed for their behaviour at
+# infinity.  Points in between powers of two keep an oscillating amplitude
+# from repeating along the doubling map.
+_PER_OCTAVE = 4
+_TAIL = 2.0 ** (8.0 + np.arange(10 * _PER_OCTAVE + 1) / _PER_OCTAVE)
+_TAIL_X = np.concatenate([_TAIL, -_TAIL])
 
 
 def _vec_eval(evaluator: Callable, x) -> np.ndarray:
@@ -112,15 +124,13 @@ class BoundaryFunction:
 
     __rmul__ = __mul__
 
-    def check_decay(self, k_min: int = 8, k_max: int = 16, factor: float = 10.0) -> bool:
-        """Probe the claimed decay order on the dyadic tail grid x = +-2**k.
+    def check_decay(self, factor: float = 10.0) -> bool:
+        """Probe the claimed decay order on the dyadic tail x = +-2**k.
 
         The measured ratio ``|f(x)| * |x|**decay_order`` must stay below
         ``factor`` times its median across the tail samples.
         """
-        ks = np.arange(k_min, k_max + 1, dtype=float)
-        xs = np.concatenate([2.0 ** ks, -(2.0 ** ks)])
-        vals = np.abs(self(xs)) * np.abs(xs) ** self.decay_order
+        vals = np.abs(self(_TAIL_X)) * np.abs(_TAIL_X) ** self.decay_order
         med = np.median(vals)
         if med == 0.0:
             return bool(np.max(vals) == 0.0)
@@ -209,10 +219,6 @@ class MatrixFunction:
     def osc_scale(self) -> float:
         return max(f.osc_scale for row in self.entries for f in row)
 
-    @property
-    def min_decay(self) -> float:
-        return min(f.decay_order for row in self.entries for f in row)
-
     def entry(self, i: int, j: int) -> BoundaryFunction:
         return self.entries[i][j]
 
@@ -260,31 +266,10 @@ def combine(F: MatrixFunction, G: MatrixFunction, op: str) -> MatrixFunction:
     elif op == "sub":
         rows = [[F.entries[i][j] - G.entries[i][j] for j in range(n)] for i in range(n)]
     elif op == "mul":
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                def prod_ij(x, i=i, j=j, A=F, B=G):
-                    acc = A.entries[i][0](x) * B.entries[0][j](x)
-                    for k in range(1, A.dim):
-                        acc = acc + A.entries[i][k](x) * B.entries[k][j](x)
-                    return acc
-
-                decay = min(
-                    F.entries[i][k].decay_order + G.entries[k][j].decay_order for k in range(n)
-                )
-                osc = max(
-                    F.entries[i][k].osc_scale + G.entries[k][j].osc_scale for k in range(n)
-                )
-                lims = [BoundaryFunction._merge_limit(F.entries[i][k], G.entries[k][j], "*")
-                        for k in range(n)]
-                limit = None if None in lims else sum(lims)
-                row.append(
-                    BoundaryFunction(prod_ij, decay_order=decay, osc_scale=osc,
-                                     label=f"({F.label}.{G.label})[{i}{j}]",
-                                     tail_limit=limit)
-                )
-            rows.append(row)
+        rows = [[replace(reduce(operator.add, (F.entries[i][k] * G.entries[k][j]
+                                               for k in range(n))),
+                         label=f"({F.label}.{G.label})[{i}{j}]")
+                 for j in range(n)] for i in range(n)]
     else:
         raise ValueError(f"unknown op {op!r}")
     return MatrixFunction.from_rows(rows, label=f"({F.label} {op} {G.label})")
@@ -300,45 +285,70 @@ def invert_at(F: MatrixFunction, x: float, det_floor: float | None = None) -> np
     return np.linalg.inv(a)
 
 
-def invert_grid(F: MatrixFunction, xs, det_floor: float | None = None) -> np.ndarray:
-    floor = F.det_floor if det_floor is None else det_floor
-    a = F.eval_grid(xs)
-    dets = np.abs(np.linalg.det(a))
-    k = int(np.argmin(dets))
-    if dets[k] < floor:
-        raise NearSingular(float(np.atleast_1d(xs)[k]), float(dets[k]), floor)
-    return np.linalg.inv(a)
-
-
 def sup_norm(F: MatrixFunction, grid: GridSpec = DEFAULT_GRID) -> float:
     """Max modulus over grid points and entries (the entrywise sup norm)."""
     vals = F.eval_grid(grid.points())
     return float(np.max(np.abs(vals)))
 
 
-def limit_at_infinity(F: MatrixFunction, tail: GridSpec | None = None,
-                      tol: float = 1e-2) -> tuple[np.ndarray, float]:
-    """Two-sided dyadic-tail limit with one Richardson sweep.
+_ROUNDING = 1e-14  # |f - v| below this (relative to 1 + |v|) counts as settled
 
-    Samples ``x = +-2**k`` with the top ``k`` taken from the tail grid's reach
-    (``k`` up to ``log2`` of its largest point, at least 16), averages the two
-    sides to cancel odd ``1/x`` parts, removes the leading even ``1/x`` part by
-    extrapolation, and reports the spread of the last extrapolants as the error
-    estimate.  Raises :class:`NoLimit` when the spread exceeds ``tol``.
+
+def _settles(up: np.ndarray, dn: np.ndarray, v) -> np.ndarray:
+    # |f - v| decays: its sup over the last two octaves is at most half its
+    # sup over the two octaves that end two octaves earlier (1/x gives 1/16,
+    # so an oscillating amplitude may vary eightfold), or it is rounding
+    # noise; NaN or inf samples never settle
+    a = np.maximum(np.abs(up - v), np.abs(dn - v))
+    w = 2 * _PER_OCTAVE
+    last, before = np.max(a[-w:], axis=0), np.max(a[-3 * w:-2 * w], axis=0)
+    return np.isfinite(before) & (last <= np.maximum(0.5 * before,
+                                                     _ROUNDING * (1.0 + np.abs(v))))
+
+
+def _tail_limit(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Limits from samples at x = +_TAIL (``up``) and x = -_TAIL (``dn``), axis 0.
+
+    Averaging the two sides cancels the odd 1/x parts and one Richardson step
+    between x and 2x removes the even 1/x**2 part; the extrapolants of the
+    top octave give the estimate L and their spread its noise.  A function
+    whose modulus decays has limit exactly 0, unless L stands clear of its
+    noise and f - L decays too (a small limit plus a decaying part).  NaN
+    marks a function without a limit: neither f nor f - L decays.
     """
-    if tail is None:
-        k_max = 18
-    else:
-        k_max = max(16, int(np.floor(np.log2(np.tan(np.pi / 2 - tail.delta)))))
-    ks = np.arange(8, k_max + 1)
-    xs = 2.0 ** ks
-    up = F.eval_grid(xs)
-    dn = F.eval_grid(-xs)
-    s = 0.5 * (up + dn)  # (K, n, n)
-    r = 2.0 * s[1:] - s[:-1]  # kills the residual 1/x term
-    last = r[-3:]
-    est = last.mean(axis=0)
-    spread = float(np.max(np.abs(last - est[None, :, :])))
-    if spread > tol:
-        raise NoLimit(f"tail oscillation {spread:.3e} exceeds tolerance {tol:.3e}")
-    return est, spread
+    with np.errstate(all="ignore"):
+        s = 0.5 * (up + dn)
+        h = _PER_OCTAVE
+        r = s[h:] + (s[h:] - s[:-h]) / 3.0
+        est = r[-h - 1:].mean(axis=0)
+        noise = np.max(np.abs(r[-h - 1:] - est), axis=0)
+        to_est = _settles(up, dn, est)
+        clear = np.abs(est) > 4.0 * noise + _ROUNDING
+        to_zero = _settles(up, dn, 0.0) & ~(to_est & clear)
+        return np.where(to_zero, 0.0, np.where(to_est, est, np.nan))
+
+
+def limit_at_infinity(F):
+    """Limit at +-infinity of a boundary function (a complex number) or of a
+    matrix function (an (n, n) array).
+
+    Entries whose limit is known from metadata (see
+    :meth:`BoundaryFunction.known_limit`) return it exactly; the others are
+    estimated on the dyadic tail ``|x| = 2**k``, ``8 <= k <= 18`` (see
+    :func:`_tail_limit`).  Raises :class:`NoLimit` for an entry that neither
+    decays nor settles to a limit there.
+    """
+    matrix = isinstance(F, MatrixFunction)
+    fs = [f for row in F.entries for f in row] if matrix else [F]
+    known = [f.known_limit() if isinstance(f, BoundaryFunction) else None for f in fs]
+    out = np.array([0.0 if v is None else v for v in known], dtype=complex)
+    todo = [k for k, v in enumerate(known) if v is None]
+    if todo:
+        vals = np.stack([np.asarray(fs[k](_TAIL_X), dtype=complex) for k in todo], axis=1)
+        est = _tail_limit(vals[:_TAIL.size], vals[_TAIL.size:])
+        for k, v in zip(todo, est):
+            if np.isnan(v):
+                raise NoLimit(f"{getattr(fs[k], 'label', 'f')} has no limit at infinity: "
+                              "it neither decays nor settles on the dyadic tail")
+        out[todo] = est
+    return out.reshape(F.dim, F.dim) if matrix else complex(out[0])

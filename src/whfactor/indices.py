@@ -60,6 +60,16 @@ def _lambda_entry(exponent: int) -> BoundaryFunction:
     return BoundaryFunction(ev, decay_order=0.0, label=f"lam^{e}", tail_limit=1.0)
 
 
+def _exponents(indices: PartialIndices, variant: str) -> tuple:
+    if variant == "full":
+        return indices.kappa
+    if variant == "plus":
+        return tuple(max(k, 0) for k in indices.kappa)
+    if variant == "minus":
+        return tuple(min(k, 0) for k in indices.kappa)
+    raise ValueError("variant must be full, plus or minus")
+
+
 def build_lambda(indices: PartialIndices, variant: str = "full") -> MatrixFunction:
     """Diagonal factor with entries ((x-i)/(x+i))**e.
 
@@ -68,14 +78,7 @@ def build_lambda(indices: PartialIndices, variant: str = "full") -> MatrixFuncti
     upper half-plane) and the minus factor min(kappa, 0) (lower half-plane),
     so that plus * minus = full pointwise on the axis.
     """
-    if variant == "full":
-        exps = indices.kappa
-    elif variant == "plus":
-        exps = tuple(max(k, 0) for k in indices.kappa)
-    elif variant == "minus":
-        exps = tuple(min(k, 0) for k in indices.kappa)
-    else:
-        raise ValueError("variant must be full, plus or minus")
+    exps = _exponents(indices, variant)
     n = indices.n
     rows = [[_lambda_entry(exps[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
     return MatrixFunction.from_rows(rows, invertible=True, label=f"Lambda[{variant}]")
@@ -84,14 +87,7 @@ def build_lambda(indices: PartialIndices, variant: str = "full") -> MatrixFuncti
 def lambda_entry_values(indices: PartialIndices, variant: str, x) -> np.ndarray:
     """Diagonal entries of the requested variant at an array of points;
     returns shape (len(x), n)."""
-    if variant == "full":
-        exps = indices.kappa
-    elif variant == "plus":
-        exps = tuple(max(k, 0) for k in indices.kappa)
-    elif variant == "minus":
-        exps = tuple(min(k, 0) for k in indices.kappa)
-    else:
-        raise ValueError("variant must be full, plus or minus")
+    exps = _exponents(indices, variant)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     base = (xs - 1j) / (xs + 1j)
     return np.stack([base ** e for e in exps], axis=-1)

@@ -135,6 +135,20 @@ def test_criterion_5_remainder_order():
           f"(spread {hi / lo:.3f}x < 2); identity residual {ident:.2e} < 5e-9")
 
 
+def test_criterion_5_remainder_order_two():
+    # the order-N claim at N = 2: sup|dK2| scales like eps^3
+    ratios = {}
+    for eps in (0.1, 0.05, 0.025):
+        entry, fact = make_fact(eps, order=2)
+        assert fact.achieved_order == 2
+        _, sup = wh.remainder(entry.builder(eps), fact, 2, PROBE_GRID)
+        ratios[eps] = sup / eps ** 3
+    lo, hi = min(ratios.values()), max(ratios.values())
+    assert hi / lo <= 2.0
+    print(f"\nACCEPTANCE 5 (order 2) PASS: sup|dK2|/eps^3 in [{lo:.1f}, {hi:.1f}] "
+          f"(spread {hi / lo:.3f}x <= 2)")
+
+
 def test_criterion_6_remainder_at_infinity():
     vals = {}
     for eps in (0.1, 0.05):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from whfactor import assemble, factorize, remainder_at_infinity
+from whfactor import assemble, factorize, gallery, remainder_at_infinity
 from whfactor.cli import load_user_spec, main, parse_entry_expression
 
 
@@ -204,6 +204,38 @@ class TestUserSpec:
         for x in (1e2, 1e3, 4e3, -4e3):
             measured = G(x) - assemble(fact, 1, x)[3]
             assert np.max(np.abs(measured - dk_inf)) < 1e-6
+
+    def test_user_spec_matches_gallery(self, tmp_path):
+        # the solvable example typed in as expressions: its decaying entries
+        # get limit 0 from the tail estimator, as the gallery's metadata says
+        osc = "{} {:+}*exp(0.1*i*x) {:+}*exp(-0.1*i*x)"
+
+        def trig(a, b, c):
+            return f"x*i*({osc.format(a, b, c)})/(x**2+1)"
+
+        def diag(a, b, c):
+            return f"(x**2 + x*i*({osc.format(a, b, c)}) - 1)/(x**2+1)"
+
+        spec = {"dim": 2, "indices": [1, -1],
+                "entries": [[diag(-18, 8, 8), trig(24, -12, -12)],
+                            [trig(-12, 4, 8), diag(18, -8, -8)]]}
+        path = tmp_path / "solvable.json"
+        path.write_text(json.dumps(spec))
+        _, base, N = load_user_spec(str(path))
+        user = factorize(base, N, 1)
+        entry = gallery.example_solvable(0.1)
+        ref = factorize(entry.base, entry.perturbation(0.1), 1)
+        assert np.max(np.abs(user.steps[0].constants - ref.steps[0].constants)) < 1e-12
+        assert np.max(np.abs(remainder_at_infinity(user) - remainder_at_infinity(ref))) < 1e-12
+
+    def test_entry_without_limit_exits_3(self, tmp_path, capsys):
+        # an oscillating part that never decays leaves no limit at infinity
+        spec = {"dim": 2, "indices": [1, -1],
+                "entries": [["(x-i)/(x+i) + 0.1*exp(0.5*i*x)", "0"], ["0", "(x+i)/(x-i)"]]}
+        path = tmp_path / "nolimit.json"
+        path.write_text(json.dumps(spec))
+        assert run(["check", "--example", str(path), "--out", str(tmp_path / "c.json")]) == 3
+        assert "no limit at infinity" in capsys.readouterr().err
 
     def test_identity_base_is_stable(self, tmp_path):
         spec = {"dim": 2, "indices": [0, 0], "entries": [["1", "0"], ["0", "1"]]}

@@ -55,6 +55,35 @@ class TestReduceRhs:
         assert np.max(np.abs(M.eval_grid(SPARSE) - E.eval_grid(SPARSE))) < 1e-12
 
 
+def test_constant_outer_factors():
+    # N = A N_solv B with constant non-identity outer factors: the reduced
+    # problem is the gallery's, so the constants keep their closed forms, the
+    # remainder is A dK_solv B, and dK(inf) = 16 (1 - E + eps E)^2 A B
+    eps = 0.1
+    A = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    B = np.array([[1.0, 0.0], [0.3j, 1.0]])
+    entry = example_solvable(eps)
+    Am = MatrixFunction.from_array(A, invertible=True, label="A")
+    Bm = MatrixFunction.from_array(B, invertible=True, label="B")
+    base = BaseFactorization(g_minus=Am, g_plus=Bm, indices=IDX,
+                             g_minus_inv=MatrixFunction.from_array(np.linalg.inv(A)),
+                             g_plus_inv=MatrixFunction.from_array(np.linalg.inv(B)))
+    G = combine(combine(Am, entry.builder(eps), "mul"), Bm, "mul")
+    N = combine(combine(Am, entry.perturbation(eps), "mul"), Bm, "mul")
+    fact = factorize(base, N, order=1)
+    C = fact.steps[0].constants
+    cc = step1_constants(eps)
+    assert abs(C[0, 0] - cc["c11"]) < 1e-12 and abs(C[1, 1] - cc["c22"]) < 1e-12
+    assert abs(C[0, 1] - cc["c12"]) < 1e-12 and C[1, 0] == 0.0
+    E = np.exp(-eps)
+    want = 16.0 * (1.0 - E + eps * E) ** 2 * A @ B
+    assert np.max(np.abs(remainder_at_infinity(fact) - want)) < 1e-12
+    samples, _ = remainder(G, fact, 1, PROBE_GRID)
+    plain = factorize(entry.base, entry.perturbation(eps), order=1)
+    inner, _ = remainder(entry.builder(eps), plain, 1, PROBE_GRID)
+    assert np.max(np.abs(samples - A @ inner @ B)) < 1e-12
+
+
 class TestCheckSolvability:
     def test_solvable_passes(self):
         _, M = solvable_setup(0.1)
@@ -360,7 +389,7 @@ class TestWideGap:
 
 
 def test_remainder_limit_n3_fallback():
-    # for n > 2 the infinity remainder falls back to tail extrapolation
+    # for n > 2 the infinity remainder is read from the step-1 limits as well
     idx3 = PartialIndices((1, 0, -1))
     base = BaseFactorization.with_identity_outer(idx3)
     fact = factorize(base, MatrixFunction.zero(3), order=1)
@@ -370,10 +399,10 @@ def test_remainder_limit_n3_fallback():
 def test_remainder_limit_by_tail_extrapolation(solved):
     # the dyadic-tail limit of the remainder function agrees with the
     # squared-constants closed form
-    from whfactor import GridSpec, limit_at_infinity
+    from whfactor import limit_at_infinity
     entry, fact = solved
     dk = fact.delta_function(entry.builder(0.1), 1)
-    lim, _err = limit_at_infinity(dk, GridSpec(101, 1e-6))
+    lim = limit_at_infinity(dk)
     E = np.exp(-0.1)
     want = 16.0 * (1.0 - E + 0.1 * E) ** 2 * np.eye(2)
     assert np.max(np.abs(lim - want)) < 1e-3

@@ -8,7 +8,15 @@ a smooth taper window ``W`` beyond a resolved radius, and a two-term
 ``c2/tau^2 + c3/|tau|^3`` tail model fitted through oscillation-averaging
 windows; the model tail is integrated in closed form.  The whole correction
 folds into a single effective weight vector, so every integral is a plain dot
-product against tabulated nodes.
+product against tabulated nodes.  Only the window nodes ``r1 < |tau| < r2``
+enter the tail terms.  Deep tables (the slow ``1/tau`` tail integral of
+:func:`decaying_split_anchors`) carry these plain weights only; the other
+oscillation tables also carry the kernel path's tail fit and its extension
+nodes.  A table above ``_MAX_TABLE_NODES`` nodes raises
+:class:`~whfactor.errors.QuadratureNotConverged` before any node array exists.
+
+Only an integrand's own values on a table are memoised: weighted integrals,
+moments and split anchors apply their weights to those values.
 
 Principal values never appear explicitly: the kernel ``1/((tau-i)(tau-z))`` is
 regularised by subtracting ``f(x0) * (x0+i)/(tau+i)``, whose weighted integral
@@ -33,6 +41,9 @@ from .funcspace import BoundaryFunction, MatrixFunction, limit_at_infinity
 _GAUSS_CACHE: dict = {}
 _TABLE_CACHE: dict = {}
 _EVAL_CACHE: dict = {}
+# a table above this many nodes raises QuadratureNotConverged before any node
+# array exists; 3.3x the refined osc-40 table (1 282 112 nodes)
+_MAX_TABLE_NODES = 1 << 22
 
 
 def _gauss(n: int):
@@ -110,7 +121,8 @@ class _Table:
     tau: np.ndarray
     w: np.ndarray       # effective weights for plain integrals (taper + tail fit)
     kind: str
-    raw_w: np.ndarray = None        # plain panel weights (kernel path)
+    # kernel-path fields; None on deep tables, which serve plain integrals only
+    raw_w: np.ndarray = None        # plain panel weights
     fit: np.ndarray = None          # (6, N): tail-coefficient extraction rows
     ext_tau: np.ndarray = None      # model-only nodes beyond the resolved range
     ext_w: np.ndarray = None
@@ -126,7 +138,14 @@ def _panels_to_nodes(edges: np.ndarray, nodes: int):
     return pts, wts
 
 
+def _check_budget(nodes: int, what: str) -> None:
+    if nodes > _MAX_TABLE_NODES:
+        raise QuadratureNotConverged(
+            f"{what} needs {nodes} nodes, over the budget of {_MAX_TABLE_NODES}")
+
+
 def _tan_table(spec: QuadratureSpec) -> _Table:
+    _check_budget(spec.base_node_count, "the tan-mapped table")
     edges = np.linspace(-np.pi / 2, np.pi / 2, spec.num_panels + 1)
     th, wth = _panels_to_nodes(edges, spec.nodes_per_panel)
     tau = np.tan(th)
@@ -152,10 +171,11 @@ def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Ta
     r2 = 2.0 * r1
     d = spec.phase_per_panel / osc
     k = max(int(np.ceil(r2 / d)), 4)
-    uniform = np.linspace(-r2, r2, 2 * k + 1)
     # geometric edges resolve the rational structure near the origin
     tau0 = 0.25
     ng = int(np.ceil(np.log(r2 / tau0) / np.log(spec.geom_ratio)))
+    _check_budget((2 * k + 2 * ng) * spec.nodes_per_panel, f"the oscillation table (osc {osc})")
+    uniform = np.linspace(-r2, r2, 2 * k + 1)
     geo = tau0 * spec.geom_ratio ** np.arange(ng + 1)
     geo = geo[geo <= r2]
     edges = np.union1d(np.union1d(uniform, np.concatenate([-geo[::-1], [0.0], geo])),
@@ -164,42 +184,41 @@ def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Ta
     edges = edges[keep]
     tau, w = _panels_to_nodes(edges, spec.nodes_per_panel)
 
-    a = np.abs(tau)
+    # every tail term lives on the windows r1 < |tau| < r2: no node lies
+    # beyond r2, where the taper W has reached 0
     L = r2 - r1
-    W = np.ones_like(tau)
-    ramp = a > r1
-    W[ramp] = np.cos(0.5 * np.pi * (a[ramp] - r1) / L) ** 2
-
-    w_eff = w * W
-    fit_rows = np.zeros((6, tau.size))
-    for si, side in enumerate((+1.0, -1.0)):
-        in_win = (side * tau > r1) & (side * tau < r2)
-        phi1 = np.where(in_win, np.sin(np.pi * (side * tau - r1) / L) ** 2, 0.0)
-        inv_a = np.where(in_win, 1.0 / a, 0.0)
+    w_eff = w.copy()
+    fit_rows = None if deep else np.zeros((6, tau.size))
+    for si, (lo, hi) in enumerate((np.searchsorted(tau, (r1, r2)),
+                                   np.searchsorted(tau, (-r2, -r1)))):
+        sl = slice(lo, hi)
+        ts, ws = tau[sl], w[sl]
+        a = np.abs(ts)
+        inv_a = 1.0 / a
+        W = np.cos(0.5 * np.pi * (a - r1) / L) ** 2
+        phi1 = np.sin(np.pi * (a - r1) / L) ** 2
         phi2 = phi1 * (r1 * inv_a)
         # plain-integral correction: integrand model {1/tau^2, 1/|tau|^3}
-        b2 = np.where(in_win | (side * tau >= r2), 1.0 / np.maximum(a, 1.0) ** 2, 0.0)
-        b3 = b2 * np.where(a > 0, 1.0 / np.maximum(a, 1.0), 0.0)
-        g11 = np.sum(w * phi1)
-        g12 = np.sum(w * phi1 * inv_a)
-        g21 = np.sum(w * phi2)
-        g22 = np.sum(w * phi2 * inv_a)
-        gram = np.array([[g11, g12], [g21, g22]])
-        outside = side * tau > r1
-        s2 = np.sum(w * np.where(outside, (1.0 - W), 0.0) * b2) + 1.0 / r2
-        s3 = np.sum(w * np.where(outside, (1.0 - W), 0.0) * b3) + 1.0 / (2.0 * r2 * r2)
+        b2 = inv_a * inv_a
+        b3 = b2 * inv_a
+        gram = np.array([[np.sum(ws * phi1), np.sum(ws * phi1 * inv_a)],
+                         [np.sum(ws * phi2), np.sum(ws * phi2 * inv_a)]])
+        s2 = np.sum(ws * (1.0 - W) * b2) + 1.0 / r2
+        s3 = np.sum(ws * (1.0 - W) * b3) + 1.0 / (2.0 * r2 * r2)
         alpha = np.linalg.solve(gram.T, np.array([s2, s3]))
-        w_eff = w_eff + w * tau * tau * (alpha[0] * phi1 + alpha[1] * phi2)
+        w_eff[sl] = ws * W + ws * ts * ts * (alpha[0] * phi1 + alpha[1] * phi2)
+        if deep:
+            continue  # deep tables serve plain integrals only
         # kernel-path fit: function model {c0, c1*(r1/tau), c2*(r1/tau)^2} per
         # side, extracted through three oscillation-averaging windows; the r1
         # scaling keeps the Gram matrix well conditioned
-        phi3 = phi1 * (r1 * inv_a) ** 2
-        phis = (phi1, phi2, phi3)
-        basis = (np.ones_like(tau), np.where(in_win, r1 / tau, 0.0),
-                 np.where(in_win, (r1 / tau) ** 2, 0.0))
-        gram3 = np.array([[np.sum(w * ph * bs) for bs in basis] for ph in phis])
-        rows = np.stack([w * ph for ph in phis])
-        fit_rows[3 * si:3 * si + 3, :] = np.linalg.solve(gram3, rows)
+        phis = (phi1, phi2, phi1 * (r1 * inv_a) ** 2)
+        basis = (np.ones_like(ts), r1 / ts, (r1 / ts) ** 2)
+        gram3 = np.array([[np.sum(ws * ph * bs) for bs in basis] for ph in phis])
+        rows = np.stack([ws * ph for ph in phis])
+        fit_rows[3 * si:3 * si + 3, sl] = np.linalg.solve(gram3, np.eye(3)) @ rows
+    if deep:
+        return _Table(tau=tau, w=w_eff, kind="osc")
 
     # model-only extension beyond r2, tan-mapped (the model is smooth there)
     th_edges = np.linspace(np.arctan(r2), np.pi / 2, 9)
@@ -250,6 +269,21 @@ def _osc_of(f) -> float:
     return getattr(f, "osc_scale", 0.0)
 
 
+def _dot(f, spec: QuadratureSpec, deep: bool, weigh, verify: bool = False) -> complex:
+    # the memoised values of f on its table, times an optional weight
+    # ``weigh(fv, tau)``, dotted with the table's plain-integral weights; the
+    # weighted values are not memoised, so the memo holds f's own values only
+    def on(s: QuadratureSpec) -> complex:
+        t = _table(s, osc=_osc_of(f), deep=deep)
+        fv = _memo_vals(f, t.tau)
+        return complex((fv if weigh is None else weigh(fv, t.tau)) @ t.w)
+
+    val = on(spec)
+    if verify:
+        _check_refined(val, on(spec.refined()), spec, "the integral")
+    return val
+
+
 def integral(f, spec: QuadratureSpec = DEFAULT_QUAD, deep: bool = False,
              verify: bool = False) -> complex:
     """Integral of ``f`` over the real line.
@@ -259,12 +293,7 @@ def integral(f, spec: QuadratureSpec = DEFAULT_QUAD, deep: bool = False,
     is repeated on the :meth:`QuadratureSpec.refined` tables and disagreement
     beyond ``10 * abs_tol`` raises :class:`QuadratureNotConverged`.
     """
-    t = _table(spec, osc=_osc_of(f), deep=deep)
-    fv = _memo("val", f, t.tau, lambda: np.asarray(f(t.tau), dtype=complex))
-    val = complex(fv @ t.w)
-    if verify:
-        _check_refined(val, integral(f, spec.refined(), deep), spec, "the integral")
-    return val
+    return _dot(f, spec, deep, None, verify)
 
 
 def _check_refined(val: complex, val2: complex, spec: QuadratureSpec, what: str) -> None:
@@ -276,9 +305,7 @@ def _check_refined(val: complex, val2: complex, spec: QuadratureSpec, what: str)
 def weighted_integral(f, spec: QuadratureSpec = DEFAULT_QUAD,
                       verify: bool = False) -> complex:
     """(1/pi) * integral of f(tau)/(tau^2+1) over the real line."""
-    g = BoundaryFunction(lambda t, f=f: _memo_vals(f, t) / (t * t + 1.0),
-                         osc_scale=_osc_of(f))
-    return integral(g, spec, verify=verify) / np.pi
+    return _dot(f, spec, False, lambda fv, t: fv / (t * t + 1.0), verify) / np.pi
 
 
 def moment(f, pole: complex, r: int, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -289,9 +316,7 @@ def moment(f, pole: complex, r: int, spec: QuadratureSpec = DEFAULT_QUAD,
         raise ValueError("pole must be +i or -i")
     if r < 1:
         raise ValueError("moment order r must be >= 1")
-    g = BoundaryFunction(lambda t, f=f: _memo_vals(f, t) / (t - pole) ** (r + 1),
-                         osc_scale=_osc_of(f))
-    return integral(g, spec, verify=verify)
+    return _dot(f, spec, False, lambda fv, t: fv / (t - pole) ** (r + 1), verify)
 
 
 def _closed_subtraction_term(fx0: np.ndarray, x0: np.ndarray, zeta: np.ndarray,
@@ -330,8 +355,7 @@ def _table_sums(t: _Table, fs: list, zeta: np.ndarray, fx0: np.ndarray,
     # kernel sums of the entries ``fs`` that share table ``t``; see
     # _kernel_integral.  Returns (X, E) without the closed subtraction term.
     x0 = zeta.real
-    fv = np.stack([_memo("val", f, t.tau, lambda f=f: np.asarray(f(t.tau), dtype=complex))
-                   for f in fs], axis=1)
+    fv = np.stack([_memo_vals(f, t.tau) for f in fs], axis=1)
     nodes, w = t.tau, t.raw_w
     if t.kind == "osc":
         # the unresolved tail is replaced by its fitted model on extension nodes
@@ -512,7 +536,5 @@ def decaying_split_anchors(f, spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[comp
     """
     linf = limit_at_infinity(f)
     rho = weighted_integral(f, spec)
-    g = BoundaryFunction(lambda t, f=f: _memo_vals(f, t) * t / (t * t + 1.0),
-                         osc_scale=_osc_of(f))
-    s = integral(g, spec, deep=True) / (2j * np.pi)
+    s = _dot(f, spec, True, lambda fv, t: fv * t / (t * t + 1.0)) / (2j * np.pi)
     return s + 0.5 * (rho - linf), 0.5 * (rho + linf) - s

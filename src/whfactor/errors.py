@@ -16,7 +16,8 @@ class NearSingular(WHFactorError):
 
 
 class QuadratureNotConverged(WHFactorError):
-    """Panel doubling moved a reported integral by more than the allowance."""
+    """Panel doubling moved a reported integral by more than the allowance, or
+    a quadrature table would exceed the node budget."""
 
 
 class TooCloseToAxis(WHFactorError):

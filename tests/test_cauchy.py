@@ -5,6 +5,8 @@ appropriate half-plane and summing residues; the quadrature path under test
 never enters those derivations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,59 @@ class TestQuadratureSpec:
                                 decay_order=3, osc_scale=0.0, label="liar")
         with pytest.raises(QuadratureNotConverged):
             omega(liar, "plus", 2j, verify=True)
+
+
+class TestNodeBudget:
+    def test_oversized_tables_raise_before_allocating(self):
+        # osc 0.1 at |x| ~ 1e9 would need 16.0M nodes, the tan spec 33.5M
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureNotConverged):
+                cauchy._table(DEFAULT_QUAD, osc=0.1, xmax=1e9)
+            with pytest.raises(QuadratureNotConverged):
+                cauchy._table(QuadratureSpec(num_panels=1 << 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+class TestTailWeights:
+    """Plain-integral weights of the oscillation tables against closed forms,
+    with the taper and tail model carrying the part beyond the window."""
+
+    @pytest.mark.parametrize("deep, tol", [(True, 1e-13), (False, 1e-7)])
+    @pytest.mark.parametrize("a", [0.01, 0.05, 0.3, 1.5])
+    def test_closed_forms(self, a, deep, tol):
+        t = cauchy._table(DEFAULT_QUAD, osc=a, deep=deep)
+        tau = t.tau
+        e = np.exp(1j * a * tau)
+        cases = ((1.0 / (tau * tau + 1.0), np.pi),
+                 (e / (tau * tau + 1.0), np.pi * np.exp(-a)),
+                 (tau * tau * e / (tau * tau + 1.0) ** 2, np.pi * (1.0 - a) * np.exp(-a) / 2.0))
+        for fv, want in cases:
+            assert abs(fv @ t.w - want) < tol
+
+
+class TestMemo:
+    def test_only_integrand_values_are_memoised(self):
+        # one entry per (integrand, table): the rational one on the tan
+        # table, the oscillating one on its plain and its deep table
+        osc = bf(lambda t: t * 1j * (2.0 - np.exp(0.1j * t) - np.exp(-0.1j * t)) / (t * t + 1.0),
+                 decay=1, osc=0.1, label="osc 0.1")
+        cauchy.clear_caches()
+        sizes = []
+        for _ in range(3):
+            for f in (F_RATIONAL, osc):
+                weighted_integral(f)
+                cauchy.decaying_split_anchors(f)
+                moment(f, 1j, 2)
+            sizes.append(len(cauchy._EVAL_CACHE))
+        assert sizes == [3, 3, 3]
+        deep = [t for key, t in cauchy._TABLE_CACHE.items() if key[1] == "osc" and key[-1]]
+        assert deep
+        for t in deep:
+            assert t.fit is None and t.raw_w is None and t.ext_tau is None
 
 
 def _dense_kernel_sum(f, zeta, spec, sgn):

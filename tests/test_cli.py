@@ -261,3 +261,11 @@ class TestUserSpec:
         assert run(["check", "--example", "solvable", "--eps", "0.1",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
+
+    def test_table_over_node_budget_exits_3(self, tmp_path, capsys):
+        # 2^20 panels of 32 nodes: a 33.5M-node tan table, over the budget
+        out = tmp_path / "check.json"
+        assert run(["check", "--example", "gk0", "--panels", str(1 << 20),
+                    "--out", str(out)]) == 3
+        assert "over the budget" in capsys.readouterr().err
+        assert not out.exists()

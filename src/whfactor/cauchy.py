@@ -16,17 +16,25 @@ nodes.  A table above ``_MAX_TABLE_NODES`` nodes raises
 :class:`~whfactor.errors.QuadratureNotConverged` before any node array exists.
 
 Only an integrand's own values on a table are memoised: weighted integrals,
-moments and split anchors apply their weights to those values.
+moments and split anchors apply their weights to those values.  The memo keys
+them on the table object, whose arrays are read-only, and keys the grid splits
+of :func:`boundary_values` on the target values themselves.
 
 Principal values never appear explicitly: the kernel ``1/((tau-i)(tau-z))`` is
 regularised by subtracting ``f(x0) * (x0+i)/(tau+i)``, whose weighted integral
 is known in closed form for both half-planes and for the on-axis limit.
 
 The Cauchy kernel ``w/((tau-i)(tau-z))`` does not depend on the integrand, so
-it is built once per (node table, targets) and applied with one matrix
-product to every entry on that table plus the subtraction column
-``1/(tau+i)``.  :func:`boundary_values` accepts a whole
-:class:`~whfactor.funcspace.MatrixFunction` and splits all its entries this way.
+every entry on a node table is summed against it together, with the
+subtraction column ``1/(tau+i)``.  :func:`boundary_values` accepts a whole
+:class:`~whfactor.funcspace.MatrixFunction` and splits all its entries this
+way.  Off the axis (one point per :func:`omega` call) the kernel is one dense
+row.  On the axis the sum runs through a target-side Chebyshev tree: the
+sorted targets are split into clusters of at most 32, the field of the nodes
+beyond three half-widths of a cluster is interpolated at 20 Chebyshev points
+(error about (3 + sqrt 8)^-20 ~ 5e-16 of their contribution), and only the
+near nodes are summed directly, so no (targets x nodes) kernel is formed and
+no temporary exceeds 2^20 entries.
 """
 
 from __future__ import annotations
@@ -58,24 +66,18 @@ def clear_caches() -> None:
     _EVAL_CACHE.clear()
 
 
-def _fingerprint(arr: np.ndarray):
-    # node arrays are immutable; identify by address, size and a few samples
-    n = arr.size
-    return (arr.ctypes.data, n, float(arr.flat[0]), float(arr.flat[n // 3]),
-            float(arr.flat[(2 * n) // 3]), float(arr.flat[n - 1]))
-
-
-def _memo(tag, f, arr: np.ndarray, compute):
-    key = (tag, id(f), _fingerprint(arr))
+def _memo(key, pin, compute):
+    # ``pin`` holds the objects whose ids are in ``key``, so the ids stay valid
     hit = _EVAL_CACHE.get(key)
     if hit is None:
-        hit = (f, compute())  # pin f so its id stays valid
+        hit = (pin, compute())
         _EVAL_CACHE[key] = hit
     return hit[1]
 
 
-def _memo_vals(f, arr: np.ndarray) -> np.ndarray:
-    return _memo("val", f, arr, lambda: np.asarray(f(arr), dtype=complex))
+def _memo_vals(f, t: "_Table") -> np.ndarray:
+    # table arrays are read-only, so the table object identifies its nodes
+    return _memo(("val", id(f), id(t)), (f, t), lambda: np.asarray(f(t.tau), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,15 @@ class _Table:
     # kernel-path fields; None on deep tables, which serve plain integrals only
     raw_w: np.ndarray = None        # plain panel weights
     fit: np.ndarray = None          # (6, N): tail-coefficient extraction rows
-    ext_tau: np.ndarray = None      # model-only nodes beyond the resolved range
+    ext_tau: np.ndarray = None      # model-only nodes beyond the resolved range, ascending
     ext_w: np.ndarray = None
     ext_basis: np.ndarray = None    # (N_ext, 6): model basis on extension nodes
+
+    def __post_init__(self):
+        for a in (self.tau, self.w, self.raw_w, self.fit, self.ext_tau, self.ext_w,
+                  self.ext_basis):
+            if a is not None:
+                a.flags.writeable = False
 
 
 def _panels_to_nodes(edges: np.ndarray, nodes: int):
@@ -224,7 +232,7 @@ def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Ta
     th_edges = np.linspace(np.arctan(r2), np.pi / 2, 9)
     ext_list = []
     extw_list = []
-    for side in (+1.0, -1.0):
+    for side in (-1.0, +1.0):
         th, wth = _panels_to_nodes(side * th_edges if side > 0 else -th_edges[::-1], 16)
         et = np.tan(th)
         ew = wth * (1.0 + et * et)
@@ -275,7 +283,7 @@ def _dot(f, spec: QuadratureSpec, deep: bool, weigh, verify: bool = False) -> co
     # weighted values are not memoised, so the memo holds f's own values only
     def on(s: QuadratureSpec) -> complex:
         t = _table(s, osc=_osc_of(f), deep=deep)
-        fv = _memo_vals(f, t.tau)
+        fv = _memo_vals(f, t)
         return complex((fv if weigh is None else weigh(fv, t.tau)) @ t.w)
 
     val = on(spec)
@@ -331,7 +339,30 @@ def _closed_subtraction_term(fx0: np.ndarray, x0: np.ndarray, zeta: np.ndarray,
 
 _COINCIDENCE_EPS = 1e-8
 _MEMO_MIN_POINTS = 8  # boundary_values memoises splits on at least this many points
-_CHUNK_ENTRIES = 4_000_000
+
+# target-side Chebyshev tree for on-axis kernel sums: a cluster's far field is
+# interpolated at _CHEB_N Chebyshev points; sources farther than _SEPARATION
+# half-widths from its midpoint are far, which bounds the interpolation error
+# by about (3 + sqrt 8)^-20 ~ 5e-16 of their contribution
+_LEAF = 32
+_CHEB_N = 20
+_SEPARATION = 3.0
+_BLOCK = 1 << 20  # entries per kernel block
+_CHEB_X = np.cos(np.pi * (np.arange(_CHEB_N) + 0.5) / _CHEB_N)
+
+
+def _cheb_basis(u: np.ndarray) -> np.ndarray:
+    # T_0 .. T_{_CHEB_N - 1} at u in [-1, 1], along a new trailing axis
+    t = np.empty(u.shape + (_CHEB_N,))
+    t[..., 0] = 1.0
+    t[..., 1] = u
+    for n in range(2, _CHEB_N):
+        t[..., n] = 2.0 * u * t[..., n - 1] - t[..., n - 2]
+    return t
+
+
+# values at _CHEB_X -> Chebyshev coefficients
+_CHEB_FIT = np.linalg.inv(_cheb_basis(_CHEB_X))
 
 
 def _coincident(tau: np.ndarray, x: np.ndarray):
@@ -350,42 +381,127 @@ def _coincident(tau: np.ndarray, x: np.ndarray):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def _block_sum(nodes: np.ndarray, cols: np.ndarray, pts: np.ndarray, lo: int, hi: int,
+               drop=None) -> np.ndarray:
+    # sum over sources lo <= j < hi of cols[j] / (nodes[j] - pts), in blocks
+    # of at most _BLOCK kernel entries; ``drop`` = (rows, js) leaves out the
+    # pairs (pts[row], nodes[j])
+    acc = np.zeros((pts.size, cols.shape[1]))
+    step = max(1, _BLOCK // max(pts.size, 1))
+    for c0 in range(lo, hi, step):
+        c1 = min(c0 + step, hi)
+        den = nodes[None, c0:c1] - pts[:, None]
+        if drop is not None:
+            sel = (drop[1] >= c0) & (drop[1] < c1)
+            den[drop[0][sel], drop[1][sel] - c0] = np.inf  # 1/inf drops the term
+        acc += np.reciprocal(den, out=den) @ cols[c0:c1]
+        del den  # before the next block is allocated
+    return acc
+
+
+def _axis_sums(nodes: np.ndarray, cols: np.ndarray, x: np.ndarray, rows: np.ndarray,
+               near: np.ndarray) -> np.ndarray:
+    """sum_j cols[j] / (nodes[j] - x[k]) for every target x[k], without the
+    pairs (x[rows], nodes[near]); ``nodes`` ascend.  Returns (X, K).
+
+    The sorted targets are split into a binary tree balanced by count, with
+    at most _LEAF targets per leaf.  A cluster with midpoint m and
+    half-width h owns the sources with |tau - m| <= 3h + d, where
+    d = _COINCIDENCE_EPS * (1 + max|x|) keeps every coincident node in the
+    leaf that sums it directly.  The sources its parent owns but it does not
+    (at most two slices of ``nodes``) are far: their field is sampled at the
+    cluster's Chebyshev points and added to the parent's polynomial
+    re-interpolated there.  A leaf evaluates its polynomial at its targets
+    and sums its own sources directly.  The tree is built one level at a
+    time.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    pos = np.empty_like(order)
+    pos[order] = np.arange(x.size)
+    prow = pos[rows]
+    by_row = np.argsort(prow, kind="stable")
+    prow, pcol = prow[by_row], near[by_row]
+    depth = (max(x.size - 1, 0) // _LEAF).bit_length()
+    if depth == 0:  # a single leaf owns every source
+        res = _block_sum(nodes, cols, xs, 0, nodes.size, (prow, pcol))
+    else:
+        plo, phi = np.zeros(1, dtype=int), np.full(1, nodes.size)
+        for level in range(depth + 1):
+            bounds = np.arange((1 << level) + 1) * x.size >> level
+            a, b = bounds[:-1], bounds[1:]
+            x_lo, x_hi = xs[a], xs[b - 1]
+            m, h = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+            reach = _SEPARATION * h + _COINCIDENCE_EPS * (
+                1.0 + np.maximum(np.abs(x_lo), np.abs(x_hi)))
+            up = np.arange(a.size) // 2
+            # clamped to the parent's sources, which rounding could overstep
+            lo = np.maximum(np.searchsorted(nodes, m - reach, side="left"), plo[up])
+            hi = np.minimum(np.searchsorted(nodes, m + reach, side="right"), phi[up])
+            pts = m[:, None] + h[:, None] * _CHEB_X
+            if level == 0:
+                vals = np.zeros((1, _CHEB_N, cols.shape[1]))
+            else:
+                u = np.divide(pts - pm[up, None], ph[up, None], out=np.zeros_like(pts),
+                              where=ph[up, None] > 0.0)
+                vals = _cheb_basis(u) @ coef[up]
+            for i, (s0, s1, s2, s3) in enumerate(zip(plo[up].tolist(), lo.tolist(),
+                                                     hi.tolist(), phi[up].tolist())):
+                for j0, j1 in ((s0, s1), (s2, s3)):
+                    if j1 > j0:
+                        vals[i] += _block_sum(nodes, cols, pts[i], j0, j1)
+            coef = _CHEB_FIT @ vals
+            plo, phi, pm, ph = lo, hi, m, h
+        leaf = np.repeat(np.arange(a.size), b - a)
+        basis = _cheb_basis(np.divide(xs - m[leaf], h[leaf], out=np.zeros_like(xs),
+                                      where=h[leaf] > 0.0))
+        k0, k1 = np.searchsorted(prow, a).tolist(), np.searchsorted(prow, b).tolist()
+        res = np.empty((x.size, cols.shape[1]))
+        for i, (ai, bi, j0, j1) in enumerate(zip(a.tolist(), b.tolist(), lo.tolist(),
+                                                 hi.tolist())):
+            drop = (prow[k0[i]:k1[i]] - ai, pcol[k0[i]:k1[i]]) if k1[i] > k0[i] else None
+            res[ai:bi] = basis[ai:bi] @ coef[i] + _block_sum(nodes, cols, xs[ai:bi], j0, j1,
+                                                            drop)
+    out = np.empty_like(res)
+    out[order] = res
+    return out
+
+
 def _table_sums(t: _Table, fs: list, zeta: np.ndarray, fx0: np.ndarray,
                 sgn: int) -> np.ndarray:
     # kernel sums of the entries ``fs`` that share table ``t``; see
     # _kernel_integral.  Returns (X, E) without the closed subtraction term.
     x0 = zeta.real
-    fv = np.stack([_memo_vals(f, t.tau) for f in fs], axis=1)
+    fv = np.stack([_memo_vals(f, t) for f in fs], axis=1)
     nodes, w = t.tau, t.raw_w
     if t.kind == "osc":
-        # the unresolved tail is replaced by its fitted model on extension nodes
-        nodes = np.concatenate([nodes, t.ext_tau])
-        w = np.concatenate([w, t.ext_w])
-        fv = np.concatenate([fv, t.ext_basis @ (t.fit @ fv)])
+        # the unresolved tail is replaced by its fitted model on extension
+        # nodes, which lie beyond both ends of the table: splicing them in
+        # keeps the nodes ascending
+        k = np.searchsorted(t.ext_tau, 0.0)
+        ext_fv = t.ext_basis @ (t.fit @ fv)
+        nodes = np.concatenate([t.ext_tau[:k], nodes, t.ext_tau[k:]])
+        w = np.concatenate([t.ext_w[:k], w, t.ext_w[k:]])
+        fv = np.concatenate([ext_fv[:k], fv, ext_fv[k:]])
     wk = w / (nodes - 1j)
     # one column per entry plus the pole-subtraction column 1/(tau+i)
-    cols = np.concatenate([fv, 1.0 / (nodes + 1j)[:, None]], axis=1) * wk[:, None]
+    cols = np.concatenate([fv, 1.0 / (nodes + 1j)[:, None]], axis=1)
+    del fv, w  # only the nodes and the columns stay alive through the sums
+    cols *= wk[:, None]
     ncol = cols.shape[1]
-    on_axis = sgn == 0
-    if on_axis:
-        # real targets give a real kernel 1/(tau-x): apply it to the real
-        # and imaginary parts with one real product
-        cols = np.concatenate([cols.real, cols.imag], axis=1)
-        rows, near = _coincident(t.tau, x0)
-    acc = np.empty((zeta.size, ncol), dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // nodes.size)
-    for k0 in range(0, zeta.size, chunk):
-        sl = slice(k0, min(k0 + chunk, zeta.size))
-        if not on_axis:
-            acc[sl] = (1.0 / (nodes[None, :] - zeta[sl, None])) @ cols
-            continue
-        den = nodes[None, :] - x0[sl, None]
-        hit = (rows >= sl.start) & (rows < sl.stop)
-        den[rows[hit] - sl.start, near[hit]] = np.inf  # 1/inf drops the term
-        part = np.reciprocal(den, out=den) @ cols
-        acc[sl] = part[:, :ncol] + 1j * part[:, ncol:]
+    if sgn != 0:
+        # off-axis targets come one at a time (omega): one dense kernel row each
+        acc = (1.0 / (nodes[None, :] - zeta[:, None])) @ cols
+        return acc[:, :-1] - fx0 * (x0 + 1j)[:, None] * acc[:, -1:]
+    rows, near = _coincident(nodes, x0)
+    wk = wk[near]
+    # real targets give a real kernel 1/(tau-x): sum the real and imaginary
+    # parts together
+    cols = np.concatenate([cols.real, cols.imag], axis=1)
+    part = _axis_sums(nodes, cols, x0, rows, near)
+    acc = part[:, :ncol] + 1j * part[:, ncol:]
     out = acc[:, :-1] - fx0 * (x0 + 1j)[:, None] * acc[:, -1:]
-    if on_axis and rows.size:
+    if rows.size:
         # a target on a node: the kernel term there was dropped above and is
         # replaced by the centred difference quotient of the subtracted integrand
         xr = x0[rows]
@@ -394,7 +510,7 @@ def _table_sums(t: _Table, fs: list, zeta: np.ndarray, fx0: np.ndarray,
         for e, f in enumerate(fs):
             hplus = np.asarray(f(xr + h), dtype=complex) - sub[:, e] / (xr + h + 1j)
             hminus = np.asarray(f(xr - h), dtype=complex) - sub[:, e] / (xr - h + 1j)
-            np.add.at(out[:, e], rows, (hplus - hminus) / (2.0 * h) * wk[near])
+            np.add.at(out[:, e], rows, (hplus - hminus) / (2.0 * h) * wk)
     return out
 
 
@@ -407,11 +523,11 @@ def _kernel_integral(fs: list, zeta: np.ndarray, fx0: np.ndarray, spec: Quadratu
     Im(zeta) (0 selects the on-axis principal value).  The subtraction
     ``f(x0)(x0+i)/(tau+i)`` removes the on-axis pole.  The kernel
     ``w/((tau-i)(tau-zeta))`` does not depend on f, so entries sharing a node
-    table share one kernel, applied to all their tabulated values and the
-    subtraction column in a single matrix product per chunk of points.  On
-    the oscillation tables the unresolved tail of f is replaced by its
-    fitted non-oscillatory model on dedicated extension nodes, so the exact
-    kernel is kept for every evaluation point.
+    table are summed together with the subtraction column: as one dense
+    kernel row per point off the axis, and through the Chebyshev tree of
+    :func:`_axis_sums` on the axis.  On the oscillation tables the unresolved
+    tail of f is replaced by its fitted non-oscillatory model on dedicated
+    extension nodes, so the exact kernel is kept for every evaluation point.
     """
     zeta = np.asarray(zeta, dtype=complex)
     x0 = zeta.real
@@ -479,8 +595,11 @@ def boundary_values(f, side: str, x, spec: QuadratureSpec = DEFAULT_QUAD):
         core = _kernel_integral(fs, xs.astype(complex), fx, spec, 0)
         return fx, 0.5 * fx + (xs - 1j)[:, None] / (2j * np.pi) * core
 
-    fx, plus = _memo(("bv", spec), f, xs, split) if xs.size >= _MEMO_MIN_POINTS else split()
-    res = plus if side == "plus" else fx - plus
+    if xs.size >= _MEMO_MIN_POINTS:
+        fx, plus = _memo(("bv", spec, id(f), xs.tobytes()), (f,), split)
+    else:
+        fx, plus = split()
+    res = plus.copy() if side == "plus" else fx - plus  # never a view of the memo
     if isinstance(f, MatrixFunction):
         res = res.reshape(xs.size, f.dim, f.dim)
     else:

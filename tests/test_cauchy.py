@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from whfactor import (BoundaryFunction, DEFAULT_QUAD, MatrixFunction, QuadratureSpec,
-                      QuadratureNotConverged, TooCloseToAxis, boundary_values,
+from whfactor import (BoundaryFunction, DEFAULT_GRID, DEFAULT_QUAD, MatrixFunction,
+                      QuadratureSpec, QuadratureNotConverged, TooCloseToAxis, boundary_values,
                       integral, moment, omega, plemelj_split, weighted_integral)
 from whfactor import cauchy
 
@@ -298,6 +298,47 @@ class TestMemo:
         for t in deep:
             assert t.fit is None and t.raw_w is None and t.ext_tau is None
 
+    def test_split_memo_keys_on_target_values(self):
+        # an in-place edit away from any sampled index, and a new array on
+        # the same buffer, must not hit the split memoised for the old values
+        f = bf(lambda t: np.exp(0.3j * t) / (t + 1j) ** 2, decay=2, osc=0.3)
+
+        def fresh(xs):
+            cauchy.clear_caches()
+            return boundary_values(f, "plus", xs)
+
+        xs = np.linspace(-10.0, 10.0, 301)
+        boundary_values(f, "plus", xs)
+        xs[5] += 0.01
+        got = boundary_values(f, "plus", xs)
+        assert np.max(np.abs(got - fresh(xs.copy()))) < 1e-13
+
+        raw = bytearray(301 * 8)
+        a = np.frombuffer(raw)
+        a[:] = np.linspace(-10.0, 10.0, 301)
+        boundary_values(f, "plus", a)
+        del a
+        b = np.frombuffer(raw)
+        b[1:100] += 0.05  # indices 0, 100, 200 and 300 keep their values
+        b[201:300] -= 0.05
+        got = boundary_values(f, "plus", b)
+        assert np.max(np.abs(got - fresh(b.copy()))) < 1e-13
+
+    def test_split_results_do_not_alias_the_memo(self):
+        xs = np.linspace(-10.0, 10.0, 301)
+        want = [boundary_values(F_SHIFTED, side, xs) for side in ("plus", "minus")]
+        for side in ("plus", "minus"):
+            boundary_values(F_SHIFTED, side, xs)[0] = 99.0
+        for side, w in zip(("plus", "minus"), want):
+            assert np.array_equal(boundary_values(F_SHIFTED, side, xs), w)
+
+    def test_table_arrays_are_read_only(self):
+        for t in (cauchy._table(DEFAULT_QUAD), cauchy._table(DEFAULT_QUAD, osc=0.5)):
+            for a in (t.tau, t.w, t.raw_w, t.fit, t.ext_tau, t.ext_w, t.ext_basis):
+                if a is not None:
+                    with pytest.raises(ValueError):
+                        a[0] = 1.0
+
 
 def _dense_kernel_sum(f, zeta, spec, sgn):
     """Per-entry dense sum of f(tau)/((tau-i)(tau-zeta)), one target at a time.
@@ -385,3 +426,60 @@ class TestBatchedKernel:
                     assert np.max(np.abs(got[:, i, j] - want)) < 1e-13
                     one = boundary_values(F.entry(i, j), side, 1.5, self.SPEC)
                     assert abs(at[i, j] - one) < 1e-13
+
+
+class TestChebyshevTree:
+    """On-axis sums through the target-side Chebyshev tree against the
+    per-entry dense sum."""
+
+    LEAN = TestBatchedKernel.SPEC
+    TINY = QuadratureSpec(nodes_per_panel=4, num_panels=4)  # 16 nodes, under one leaf
+
+    @staticmethod
+    def _check(f, x, spec):
+        zeta = np.asarray(x, dtype=complex)
+        got = cauchy._kernel_integral([f], zeta, f(zeta.real)[:, None], spec, 0)[:, 0]
+        want = _dense_kernel_sum(f, zeta, spec, 0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("f, spec", [
+        (F_RATIONAL, DEFAULT_QUAD),
+        (bf(lambda t: np.exp(0.1j * t) / (t + 1j) ** 2, decay=2, osc=0.1), LEAN)])
+    def test_default_grid(self, f, spec):
+        self._check(f, DEFAULT_GRID.points(), spec)
+
+    @pytest.mark.parametrize("f", [F_RATIONAL, F_OSC])
+    def test_targets_on_nodes_repeated_and_odd_counts(self, f):
+        t = cauchy._table(self.LEAN, osc=f.osc_scale, xmax=40.0)
+        on_nodes = t.tau[np.abs(t.tau) < 40.0][::3]
+        assert cauchy._coincident(t.tau, on_nodes)[0].size == on_nodes.size
+        grid = np.linspace(-40.0, 40.0, 1007)
+        for x in (np.concatenate([grid, on_nodes]),
+                  np.repeat(on_nodes[:50], 3),
+                  np.concatenate([np.full(100, on_nodes[7]), np.full(70, 2.5), grid[::10]]),
+                  np.array([on_nodes[3]]), np.array([0.7]), grid[:45]):
+            self._check(f, x, self.LEAN)
+
+    def test_no_targets(self):
+        assert boundary_values(F_OSC, "plus", np.array([])).shape == (0,)
+
+    def test_table_smaller_than_one_leaf(self):
+        t = cauchy._table(self.TINY)
+        assert t.tau.size < cauchy._LEAF
+        self._check(F_SHIFTED, np.concatenate([np.linspace(-30.0, 30.0, 1001), t.tau]),
+                    self.TINY)
+
+    def test_memory_stays_bounded(self):
+        # 2001 targets on a 117k-node table, where a dense (X, T) kernel
+        # would take 1.9 GB
+        f = bf(lambda t: np.exp(0.7j * t) / (t + 1j) ** 2, decay=2, osc=0.7)
+        xs = DEFAULT_GRID.points()
+        boundary_values(f, "plus", xs[:4])  # table and integrand values
+        assert cauchy._table(DEFAULT_QUAD, osc=0.7, xmax=float(np.max(np.abs(xs)))).tau.size >= 1e5
+        tracemalloc.start()
+        try:
+            boundary_values(f, "plus", xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

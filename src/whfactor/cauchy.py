@@ -4,16 +4,26 @@ Two quadrature lanes share one interface.  Non-oscillatory integrands use
 composite Gauss-Legendre panels on the tan-mapped line, which is spectrally
 accurate for rational decay.  Oscillatory integrands (``osc_scale > 0``) use
 Gauss panels placed directly in ``tau`` with a bounded phase span per panel,
-a smooth taper window ``W`` beyond a resolved radius, and a two-term
-``c2/tau^2 + c3/|tau|^3`` tail model fitted through oscillation-averaging
-windows; the model tail is integrated in closed form.  The whole correction
-folds into a single effective weight vector, so every integral is a plain dot
-product against tabulated nodes.  Only the window nodes ``r1 < |tau| < r2``
-enter the tail terms.  Deep tables (the slow ``1/tau`` tail integral of
-:func:`decaying_split_anchors`) carry these plain weights only; the other
-oscillation tables also carry the kernel path's tail fit and its extension
-nodes.  A table above ``_MAX_TABLE_NODES`` nodes raises
-:class:`~whfactor.errors.QuadratureNotConverged` before any node array exists.
+a taper window ``W`` beyond a resolved radius ``r1``, and a rational tail
+model fitted through oscillation-averaging windows; the model tail is
+integrated in closed form.  The whole correction folds into a single
+effective weight vector, so every integral is a plain dot product against
+tabulated nodes.  Only the window nodes ``r1 < |tau| < r2 = 2 r1`` enter the
+tail terms.
+
+Deep tables (the slow ``1/tau`` tail integral of
+:func:`decaying_split_anchors`) carry these plain weights only.  Their taper
+and averaging windows are C-infinity (the windowed-Green-function truncation
+of Bruno, Lyon, Perez-Arancibia and Turc), so the truncation error falls
+super-algebraically in the number of wavelengths across the window, and the
+model has the four terms ``(r1/|tau|)^m``, m = 2..5.  Their radius is about
+150 wavelengths (see :class:`QuadratureSpec`), so a deep table does not grow
+with ``osc`` until the ``deep_window_min`` floor is reached.  The other
+oscillation tables keep a ``cos^2`` taper with ``sin^2`` averaging windows
+and the two-term ``c2/tau^2 + c3/|tau|^3`` model, and also carry the kernel
+path's tail fit and its extension nodes.  A table above ``_MAX_TABLE_NODES``
+nodes raises :class:`~whfactor.errors.QuadratureNotConverged` before any node
+array exists.
 
 Only an integrand's own values on a table are memoised: weighted integrals,
 moments and split anchors apply their weights to those values.  The memo keys
@@ -52,6 +62,10 @@ _EVAL_CACHE: dict = {}
 # a table above this many nodes raises QuadratureNotConverged before any node
 # array exists; 3.3x the refined osc-40 table (1 282 112 nodes)
 _MAX_TABLE_NODES = 1 << 22
+# a deep window spans this many wavelengths of the fastest oscillation: on the
+# closed forms of the tests 75 leak up to 1.3e-12, 100 leave 3e-15, and 150
+# keeps a margin
+_DEEP_WAVELENGTHS = 150.0
 
 
 def _gauss(n: int):
@@ -88,10 +102,13 @@ class QuadratureSpec:
     non-oscillatory table.  ``min_imag_distance`` separates off-axis
     evaluation from boundary-value mode.  The remaining fields control the
     oscillation-aware tables: panels span at most ``phase_per_panel`` radians
-    of the fastest oscillation, the resolved window never shrinks below
-    ``window_min`` (``deep_window_min`` for slow ``1/tau^2`` integrands), and
-    panel widths grow geometrically with ratio ``geom_ratio`` where
-    oscillation permits.
+    of the fastest oscillation, and panel widths grow geometrically with
+    ratio ``geom_ratio`` where oscillation permits.  The resolved window of
+    the kernel tables never shrinks below ``window_min``.  The window of the
+    deep tables (slow ``1/tau^2`` integrands) spans about 150 wavelengths,
+    capped at ``sqrt(deep_scale / osc)``, which bounds the effort of a coarse
+    spec, and then floored at ``deep_window_min``.  ``window_max`` caps both
+    kinds.
     """
 
     nodes_per_panel: int = 32
@@ -101,7 +118,7 @@ class QuadratureSpec:
     phase_per_panel: float = 16.0
     geom_ratio: float = 1.35
     window_min: float = 2e3
-    deep_window_min: float = 3e4
+    deep_window_min: float = 3e3
     deep_scale: float = 4e9
     window_max: float = 2e7
 
@@ -163,15 +180,46 @@ def _tan_table(spec: QuadratureSpec) -> _Table:
 
 def _osc_window(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> float:
     if deep:
-        r1 = np.sqrt(spec.deep_scale / osc)
-        r1 = max(r1, spec.deep_window_min)
+        # a fixed number of wavelengths suffices for the C-infinity taper;
+        # deep_scale caps the effort of a coarse spec
+        r1 = min(np.sqrt(spec.deep_scale / osc), _DEEP_WAVELENGTHS * 2.0 * np.pi / osc)
+        r1 = max(r1, spec.deep_window_min, 1.25 * xmax)
     else:
         r1 = (8e9 / osc) ** (1.0 / 3.0)
-        r1 = max(r1, spec.window_min)
-    # evaluation points must stay well inside the resolved window; the tail
-    # model keeps the exact kernel, so a small margin suffices
-    r1 = max(r1, 30.0 * 2.0 * np.pi / osc, 1.25 * xmax)
+        # evaluation points must stay well inside the resolved window; the
+        # tail model keeps the exact kernel, so a small margin suffices
+        r1 = max(r1, spec.window_min, 30.0 * 2.0 * np.pi / osc, 1.25 * xmax)
     return min(r1, spec.window_max)
+
+
+def _deep_window_weights(ws: np.ndarray, a: np.ndarray, r1: float) -> np.ndarray:
+    """Plain-integral weights of a deep table on one window r1 < |tau| < 2 r1.
+
+    The integrand is tapered by the C-infinity step W = 1 - S(u),
+    u = |tau|/r1 - 1, whose truncation error falls super-algebraically in the
+    number of wavelengths across the window.  The part S(u) beyond r1 is
+    carried by a model in the span of (r1/|tau|)^m, m = 2..5, fitted through
+    windows psi(u) times the span of (r1/|tau|)^k, k = 0..3, with
+    psi = exp(-1/(u(1-u))); psi vanishes to every order at both ends, so the
+    oscillating part of the integrand averages out of the fit.  The model
+    tail beyond 2 r1 is closed exactly.
+    """
+    u = a / r1 - 1.0
+    e0, e1 = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    S = e0 / (e0 + e1)
+    W = e1 / (e0 + e1)
+    psi = np.exp(-1.0 / (u * (1.0 - u)))
+    # both spans in powers of x = 4v - 3 in [-1, 1], v = r1/|tau|, which keeps
+    # the Gram matrix well conditioned: model v^2 x^j, windows psi x^k
+    v = r1 / a
+    xp = (4.0 * v - 3.0)[:, None] ** np.arange(4)
+    model = (v * v)[:, None] * xp
+    gram = (ws * psi * xp.T) @ model
+    # integral of v^2 x^j over |tau| > 2 r1: r1 * int_0^(1/2) (4v - 3)^j dv
+    j1 = np.arange(1, 5)  # j + 1
+    beyond = r1 * ((-1.0) ** j1 - (-3.0) ** j1) / (4.0 * j1)
+    alpha = np.linalg.solve(gram.T, (ws * S) @ model + beyond)
+    return ws * W + ws * psi * (xp @ alpha)
 
 
 def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Table:
@@ -202,6 +250,9 @@ def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Ta
         sl = slice(lo, hi)
         ts, ws = tau[sl], w[sl]
         a = np.abs(ts)
+        if deep:  # deep tables serve plain integrals only
+            w_eff[sl] = _deep_window_weights(ws, a, r1)
+            continue
         inv_a = 1.0 / a
         W = np.cos(0.5 * np.pi * (a - r1) / L) ** 2
         phi1 = np.sin(np.pi * (a - r1) / L) ** 2
@@ -215,8 +266,6 @@ def _osc_table(spec: QuadratureSpec, osc: float, xmax: float, deep: bool) -> _Ta
         s3 = np.sum(ws * (1.0 - W) * b3) + 1.0 / (2.0 * r2 * r2)
         alpha = np.linalg.solve(gram.T, np.array([s2, s3]))
         w_eff[sl] = ws * W + ws * ts * ts * (alpha[0] * phi1 + alpha[1] * phi2)
-        if deep:
-            continue  # deep tables serve plain integrals only
         # kernel-path fit: function model {c0, c1*(r1/tau), c2*(r1/tau)^2} per
         # side, extracted through three oscillation-averaging windows; the r1
         # scaling keeps the Gram matrix well conditioned

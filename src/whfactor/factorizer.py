@@ -453,7 +453,6 @@ def factorize(base: BaseFactorization, N_eps: MatrixFunction, order: int,
             # anchor effort is reduced to the solvability tolerance scale
             from dataclasses import replace
             step_quad = replace(quad, deep_scale=min(quad.deep_scale, 4e6),
-                                deep_window_min=min(quad.deep_window_min, 3e3),
                                 phase_per_panel=max(quad.phase_per_panel, 24.0))
         report = check_solvability(M, base.indices, step_quad, tol)
         if not report.passed:

@@ -107,7 +107,8 @@ def _trig_entry(coef0: float, coef_p: float, coef_m: float, eps: float, label: s
 
     def ev(x, a=coef0, b=coef_p, c=coef_m, e=eps):
         x = np.asarray(x, dtype=float)
-        osc = a + b * np.exp(1j * e * x) + c * np.exp(-1j * e * x)
+        p = np.exp(1j * e * x)  # on real x, exp(-i e x) is its conjugate
+        osc = a + b * p + c * np.conj(p)
         return x * 1j * osc / (x * x + 1.0)
 
     return _bf(ev, decay=1.0, osc=abs(eps), label=label)

@@ -277,6 +277,33 @@ class TestTailWeights:
         for fv, want in cases:
             assert abs(fv @ t.w - want) < tol
 
+    @pytest.mark.parametrize("a", [0.01, 0.05, 0.3, 1.5, 5.0, 20.0, 64.0])
+    def test_deep_closed_forms(self, a):
+        # built uncached, so the 1.5M-node osc-64 table does not outlive the test
+        t = cauchy._osc_table(DEFAULT_QUAD, a, cauchy._bucket_xmax(0.0), True)
+        tau = t.tau
+        e = np.exp(1j * a * tau)
+        r = tau * tau + 1.0
+        b, c = 8.0, -5.0
+        cases = ((1.0 / r, np.pi),
+                 (e / r, np.pi * np.exp(-a)),
+                 (tau * tau * e / (r * r), np.pi * (1.0 - a) * np.exp(-a) / 2.0),
+                 # i tau^2 (a0 + b e^{ia tau} + c e^{-ia tau})/(tau^2+1)^2, a0 = -(b+c),
+                 # whose 1/tau^2 tail averages out only with the oscillation
+                 (1j * tau * tau * (-(b + c) + b * e + c * np.conj(e)) / (r * r),
+                  1j * np.pi * (-(b + c) + (b + c) * (1.0 - a) * np.exp(-a)) / 2.0))
+        for fv, want in cases:
+            assert abs(fv @ t.w - want) < 1e-12
+
+    def test_deep_table_sizes(self):
+        # 150 wavelengths over 16-radian panels, or the 3e3 floor at osc 1
+        for a in (0.01, 0.05, 0.1, 0.3, 1.0):
+            assert cauchy._table(DEFAULT_QUAD, osc=a, deep=True).tau.size <= 50_000
+        # a small deep_scale still caps the window: the lean spec keeps its size
+        lean = QuadratureSpec(nodes_per_panel=16, num_panels=32, deep_window_min=3e3,
+                              deep_scale=4e6, window_min=1e3, phase_per_panel=24.0)
+        assert cauchy._table(lean, osc=0.03, deep=True).tau.size == 2208
+
 
 class TestMemo:
     def test_only_integrand_values_are_memoised(self):

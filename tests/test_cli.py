@@ -237,6 +237,22 @@ class TestUserSpec:
         assert run(["check", "--example", str(path), "--out", str(tmp_path / "c.json")]) == 3
         assert "no limit at infinity" in capsys.readouterr().err
 
+    def test_fast_oscillation_passes(self, tmp_path):
+        # osc_scale 30: the deep table of the split anchors is 0.72M nodes
+        spec = {"dim": 2, "indices": [1, -1],
+                "entries": [["(x-i)/(x+i) + 0.1*exp(20*i*x)/(x**2+1)", "0"],
+                            ["0", "(x+i)/(x-i)"]]}
+        path = tmp_path / "osc20.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "c.json"
+        assert run(["check", "--example", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is True
+        # M11 = 0.1 e^{20ix}/(x^2+1): by residues at x = i the upper part at i
+        # is s + rho/2 = 0.5 e^-20 + 0.525 e^-20
+        c11 = complex(doc["pinned"]["c11"]["re"], doc["pinned"]["c11"]["im"])
+        assert abs(c11 - 1.025 * np.exp(-20.0)) < 1e-15
+
     def test_identity_base_is_stable(self, tmp_path):
         spec = {"dim": 2, "indices": [0, 0], "entries": [["1", "0"], ["0", "1"]]}
         path = tmp_path / "ident.json"
